@@ -31,7 +31,7 @@ let print_figures () =
   ctx
 
 (* A live loopback server for the serve.throughput kernels: one domain
-   running the real Service acceptor loop (plus [workers] handler
+   running the real Service loop 0 (plus [workers - 1] further loop
    domains), an ephemeral port reported through [on_ready].  The
    returned closure stops and joins it. *)
 let boot_server ~workers () =

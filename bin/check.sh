@@ -411,6 +411,73 @@ grep -q 'solarstorm serve: stopped' "$W4_LOG" \
 rm -f /tmp/w1_*.json /tmp/w4_*.json /tmp/conc_*.json /tmp/pool_warm.json \
   /tmp/pool_statusz.json /tmp/loadgen_pool.json /tmp/pool_metrics.txt "$W1_LOG" "$W4_LOG"
 
+echo "== solarstorm serve: descriptor exhaustion gate =="
+# Held connections must be shed, never crash the server: past the
+# process's descriptor limit accept() fails with EMFILE, and past
+# select()'s FD_SETSIZE (1024) a descriptor cannot be watched.  Both
+# are counted on server_rejected_busy; once the connections close,
+# /healthz answers 200 and SIGTERM still exits 0.
+# fd_gate NOFILE MAX_PENDING HELD
+fd_gate() {
+  FD_LOG=/tmp/serve_fd.log
+  rm -f "$FD_LOG" /tmp/fd_metrics.txt
+  (ulimit -n "$1" && exec _build/default/bin/solarstorm.exe serve --port 0 --workers 1 \
+    --max-pending "$2") > "$FD_LOG" 2>&1 &
+  SERVE_PID=$!
+  i=0
+  until grep -q 'listening on' "$FD_LOG" 2> /dev/null; do
+    i=$((i + 1))
+    [ "$i" -le 100 ] || { echo "check.sh: ulimit -n $1 serve never became ready" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
+    sleep 0.1
+  done
+  SERVE_PORT=$(sed -n 's|.*listening on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$FD_LOG")
+  BASE="http://127.0.0.1:$SERVE_PORT"
+  python3 - "$SERVE_PORT" "$3" <<'EOF'
+import resource, socket, sys, time
+port, n = int(sys.argv[1]), int(sys.argv[2])
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+want = n + 64
+if soft < want and (hard == resource.RLIM_INFINITY or hard >= want):
+    resource.setrlimit(resource.RLIMIT_NOFILE, (want, hard))
+held = []
+for _ in range(n):
+    try:
+        held.append(socket.create_connection(("127.0.0.1", port), timeout=2))
+    except OSError:
+        break
+time.sleep(1.0)
+for s in held:
+    s.close()
+print("check.sh: held %d connections" % len(held))
+EOF
+  kill -0 "$SERVE_PID" 2> /dev/null \
+    || { echo "check.sh: serve died under $3 held connections (ulimit -n $1):" >&2; cat "$FD_LOG" >&2; exit 1; }
+  i=0
+  until curl -fsS -m 2 "$BASE/healthz" 2> /dev/null | grep -q '"status":"ok"'; do
+    i=$((i + 1))
+    [ "$i" -le 50 ] || { echo "check.sh: /healthz never answered after the held connections closed" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
+    sleep 0.1
+  done
+  curl -fsS "$BASE/metrics" > /tmp/fd_metrics.txt
+  grep -q '^server_rejected_busy [1-9]' /tmp/fd_metrics.txt \
+    || { echo "check.sh: no connection was shed under ulimit -n $1" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
+  kill -TERM "$SERVE_PID"
+  wait "$SERVE_PID" || { echo "check.sh: ulimit -n $1 serve did not exit 0 on SIGTERM" >&2; exit 1; }
+  rm -f "$FD_LOG" /tmp/fd_metrics.txt
+}
+if command -v python3 > /dev/null 2>&1; then
+  # EMFILE: 80 held connections against 48 descriptors.
+  fd_gate 48 1000 80
+  # FD_SETSIZE: 1 100 held connections against --max-pending 2000.
+  if (ulimit -n 4096) 2> /dev/null; then
+    fd_gate 4096 2000 1100
+  else
+    echo "check.sh: NOTICE: cannot raise ulimit -n to 4096, skipping the FD_SETSIZE gate"
+  fi
+else
+  echo "check.sh: NOTICE: no python3, skipping the descriptor exhaustion gate"
+fi
+
 echo "== solarstorm sweep: streaming grid gate =="
 # The 64-cell bench grid (4 models x 4 itu scales x 4 duplicate trial
 # values) collapses to exactly 4 compiled plans.  The gate proves the
@@ -633,4 +700,4 @@ wait "$SERVE_PID" || { echo "check.sh: self-monitoring serve did not exit 0 on S
 rm -f /tmp/varz1.json /tmp/varz2.json /tmp/dashboard.html /tmp/alertz.json \
   /tmp/loadgen_mon.json /tmp/top_frame.txt "$MON_LOG" "$MON_OUT"
 
-echo "check.sh: all green ($BENCH_JSON, $PROFILE_JSON, serve ok, observability ok, worker pool ok, sweep ok, self-monitoring ok)"
+echo "check.sh: all green ($BENCH_JSON, $PROFILE_JSON, serve ok, observability ok, worker pool ok, descriptor exhaustion ok, sweep ok, self-monitoring ok)"

@@ -136,7 +136,8 @@ let observe h v =
     Atomic.incr h.h_count
   end
 
-let counter_total c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.c_counts
+let counter_value c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.c_counts
+let gauge_value g = Atomic.get g.g_value
 
 let quantile ~bounds ~counts q =
   (* Prometheus-style histogram_quantile: find the bucket holding the
@@ -174,8 +175,8 @@ let quantile ~bounds ~counts q =
   end
 
 let value_of = function
-  | C c -> Counter (counter_total c)
-  | G g -> Gauge (Atomic.get g.g_value)
+  | C c -> Counter (counter_value c)
+  | G g -> Gauge (gauge_value g)
   | H h ->
       Histogram
         {

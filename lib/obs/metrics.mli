@@ -59,6 +59,12 @@ val add : counter -> int -> unit
 val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
+val counter_value : counter -> int
+(** A counter's current total, read through its handle. *)
+
+val gauge_value : gauge -> float
+(** A gauge's current value, read through its handle. *)
+
 val snapshot : unit -> snapshot
 
 val find : snapshot -> string -> value option

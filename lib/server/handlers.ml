@@ -37,25 +37,19 @@ let statusz _req =
           ]
     | _ -> Object [ ("count", int 0); ("p50", Null); ("p95", Null); ("p99", Null) ]
   in
-  (* One row per worker domain that has registered its counters this
-     process (the pool registers them at boot), derived from the metric
-     names themselves so this handler needs no channel to Service.  The
-     rows' [requests] sum to [requests.total]: both counters are bumped
-     at the same instruction in the worker. *)
+  (* One row per serving loop, read through the handles the running
+     server registered in {!Monitor}.  The rows' [requests] sum to
+     [requests.total]: both counters are bumped at the same instruction
+     in the loop. *)
+  let loops = Monitor.loops () in
   let workers =
-    let worker_id name =
-      match String.split_on_char '.' name with
-      | [ "server"; "worker"; i; "requests" ] -> int_of_string_opt i
-      | _ -> None
-    in
-    List.filter_map (fun (name, _) -> worker_id name) snap
-    |> List.sort_uniq compare
-    |> List.map (fun i ->
+    Array.to_list loops
+    |> List.mapi (fun i (l : Monitor.loop) ->
            Object
              [
                ("id", int i);
-               ("requests", int (counter (Printf.sprintf "server.worker.%d.requests" i)));
-               ("busy_ms", Number (gauge (Printf.sprintf "server.worker.%d.busy_ms" i)));
+               ("requests", int (Obs.Metrics.counter_value l.Monitor.requests));
+               ("busy_ms", Number (Obs.Metrics.gauge_value l.Monitor.busy_ms));
              ])
   in
   let alerts_summary =
@@ -75,7 +69,7 @@ let statusz _req =
             [
               ("version", String version);
               ("ocaml", String Sys.ocaml_version);
-              ("workers", int (int_of_float (gauge "server.workers")));
+              ("workers", int (Array.length loops));
               ("sampler_step_s", Number (Monitor.step_s ()));
             ] );
         ("alerts", alerts_summary);

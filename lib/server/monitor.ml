@@ -1,6 +1,7 @@
 (* Process-global self-monitoring state: one {!Obs.Timeseries} ring and
    one {!Obs.Alerts} engine shared by the sampler domain, the /varz,
-   /alertz and /dashboard handlers, and one-shot CLI consumers.
+   /alertz and /dashboard handlers, and one-shot CLI consumers, plus the
+   serving loops' metric handles that /statusz reads.
 
    Global for the same reason the metrics registry is global: handlers
    are plain [request -> response] functions with no channel back to the
@@ -9,25 +10,28 @@
    and [Service.run] reconfigures at startup, so tests that boot
    multiple loopback servers in sequence each get a fresh ring. *)
 
+type loop = { requests : Obs.Metrics.counter; busy_ms : Obs.Metrics.gauge }
+
 type t = {
   ts : Obs.Timeseries.t;
   alerts : Obs.Alerts.t;
   step_s : float;
+  loops : loop array;
 }
 
-let make ?clock ?(step_s = 1.0) ?(retention = 600) ?(rules = []) () =
+let make ?clock ?(step_s = 1.0) ?(retention = 600) ?(rules = []) ?(loops = [||]) () =
   let step_s = if step_s > 0.0 then step_s else 1.0 in
   let ts =
     Obs.Timeseries.create ?clock
       ~step_ns:(Int64.of_float (step_s *. 1e9))
       ~retention ()
   in
-  { ts; alerts = Obs.Alerts.create rules; step_s }
+  { ts; alerts = Obs.Alerts.create rules; step_s; loops }
 
 let state = Atomic.make (lazy (make ()))
 
-let configure ?clock ?step_s ?retention ?rules () =
-  let m = make ?clock ?step_s ?retention ?rules () in
+let configure ?clock ?step_s ?retention ?rules ?loops () =
+  let m = make ?clock ?step_s ?retention ?rules ?loops () in
   Atomic.set state (lazy m);
   m
 
@@ -44,3 +48,4 @@ let sample_now () =
 let timeseries () = (current ()).ts
 let alerts () = (current ()).alerts
 let step_s () = (current ()).step_s
+let loops () = (current ()).loops

@@ -2,9 +2,8 @@
     a hardened HTTP/1.1 layer ({!Http}), method × path routing
     ({!Router}), the endpoint handlers ({!Handlers}), a lock-striped
     canonical-key LRU result cache plus the shared compute/encode path
-    ({!Api}, {!Lru}), the bounded MPSC channel ({!Chan}) feeding an
-    acceptor + worker-domain-pool socket loop with backpressure and
-    graceful drain ({!Service}), the pipelined loopback load generator
+    ({!Api}, {!Lru}), N self-contained event loops with backpressure
+    and graceful drain ({!Service}), the pipelined loopback load generator
     ({!Loadgen}), and the windowed self-monitoring surface: the global
     sampler state ({!Monitor}), the /dashboard renderer ({!Dashboard})
     and the live terminal view ({!Top}).
@@ -13,7 +12,6 @@
 
 module Http = Http
 module Lru = Lru
-module Chan = Chan
 module Api = Api
 module Router = Router
 module Handlers = Handlers

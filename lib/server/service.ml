@@ -1,38 +1,37 @@
-(* Acceptor + worker-pool serving loop.
+(* N self-contained event loops over one listen socket.
 
-   The calling domain is the ACCEPTOR: it owns the listen socket and
-   every idle connection, selects for readiness, and hands each
-   parse-ready connection — together with a pre-drawn trace id — to a
-   pool of WORKER domains over a bounded job queue.  A worker owns the
-   connection end-to-end for one request (parse, dispatch, write), then
-   returns it through an unbounded completion queue and wakes the
-   acceptor via a self-pipe.  Ownership is strict: a connection is
-   touched by exactly one domain at any moment, so the HTTP conn buffer
-   needs no lock.
+   [run] binds one non-blocking listen socket, runs loop 0 on the
+   calling domain and loops 1..N-1 on spawned domains.  Every loop is
+   the same code: it owns each connection it accepts end to end —
+   accept, readiness select, parse, dispatch, write, idle reaping and
+   drain — so a connection never crosses domains and the HTTP conn
+   buffer needs no lock.
 
-   Every iteration of the acceptor:
+   One tick of a loop:
 
-     1. select() over the listen socket, the wake pipe and every idle
-        connection;
-     2. drain the completion queue — closed connections die, kept ones
-        with buffered pipelined bytes are re-handed immediately, the
-        rest rejoin the idle set;
-     3. accept everything waiting, 503-ing the overflow past
-        [max_pending] (idle + in flight);
-     4. hand off readable idle connections — one request per handoff,
-        so a pipelining client cannot starve the rest — and reap those
-        idle past [idle_timeout_s].
+     1. select() over the listen socket (unless accepting is paused)
+        and the loop's own connections, with timeout 0 when one of them
+        already holds buffered pipelined bytes;
+     2. accept at most one connection, so a burst spreads over the
+        loops — EAGAIN from losing the race to another loop is normal;
+     3. serve one request on every ready or buffered connection — so a
+        pipelining client cannot starve the rest — and reap those
+        silent past [idle_timeout_s].
 
-   Backpressure is the job queue's bound: when [try_push] refuses, the
-   acceptor answers 503 and closes instead of queueing without bound.
-   The loop re-checks the stop flag each tick, so SIGINT/SIGTERM latency
-   is bounded by [idle_poll_s] plus the requests in flight. *)
+   Backpressure: one process-wide [Atomic] counts open connections;
+   past [max_pending] a new connection is answered 503 and closed, and
+   so is one whose descriptor select() cannot watch.  An [accept] that
+   fails for lack of descriptors (EMFILE, ENFILE) or an aborted peer
+   (ECONNABORTED) counts as a busy rejection and keeps the listen socket
+   out of that loop's select for [idle_poll_s], instead of spinning on
+   a socket that stays readable.  Every loop re-checks the stop flag
+   each tick, so SIGINT/SIGTERM latency is bounded by [idle_poll_s]
+   plus the request being served. *)
 
 type config = {
   host : string;
   port : int;
   workers : int;
-  queue_depth : int;
   max_pending : int;
   max_head : int;
   max_body : int;
@@ -52,7 +51,6 @@ let default_config =
     host = "127.0.0.1";
     port = 8080;
     workers = 0;
-    queue_depth = 0;
     max_pending = 64;
     max_head = Http.default_limits.Http.max_head;
     max_body = Http.default_limits.Http.max_body;
@@ -67,32 +65,25 @@ let default_config =
     retention = 600;
   }
 
-(* Per-request trace ids: one SplitMix64 stream, rendered as 16 hex
-   chars.  With [trace_seed] set the n-th handoff of every run gets the
-   same id (reproducible tests and CI gates); otherwise the stream is
-   seeded from wall clock ⊕ pid at [run] time.  A plain ref is still
-   correct with N workers because ids are only drawn by the single
-   acceptor domain, BEFORE handoff — the id travels with the job and the
-   worker installs it as its domain-local trace context. *)
-let trace_state = ref 0L
-
+(* Per-request trace ids: SplitMix64 streams rendered as 16 hex chars,
+   one stream per loop.  Loop [i] starts from [mix64 seed ⊕ mix64 i];
+   [mix64 0 = 0], so loop 0's stream is the single-loop stream and
+   [--workers 1 --trace-seed S] gives the n-th request the same id on
+   every run.  With N loops an id is a function of (seed, loop,
+   per-loop index).  Without [trace_seed] the seed is wall clock ⊕ pid
+   at [run] time.  The state is loop-private, so a mutable field
+   suffices. *)
 let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let seed_traces = function
-  | Some seed -> trace_state := mix64 (Int64.of_int seed)
+let trace_seed = function
+  | Some seed -> Int64.of_int seed
   | None ->
-      trace_state :=
-        mix64
-          (Int64.logxor
-             (Int64.of_float (Unix.gettimeofday () *. 1e6))
-             (Int64.of_int (Unix.getpid ())))
-
-let next_trace_id () =
-  trace_state := Int64.add !trace_state 0x9e3779b97f4a7c15L;
-  Printf.sprintf "%016Lx" (mix64 !trace_state)
+      Int64.logxor
+        (Int64.of_float (Unix.gettimeofday () *. 1e6))
+        (Int64.of_int (Unix.getpid ()))
 
 let m_requests = Obs.Metrics.counter "server.requests"
 let m_accepted = Obs.Metrics.counter "server.conns.accepted"
@@ -125,31 +116,6 @@ let install_signal_handlers () =
 
 type client = { fd : Unix.file_descr; conn : Http.conn; mutable last_active : float }
 
-(* Per-worker observability: [server.worker.<i>.requests] counts the
-   requests worker [i] parsed successfully (the same increment point as
-   [server.requests], so the per-worker counters sum to the total) and
-   [server.worker.<i>.busy_ms] gauges its cumulative time spent on
-   jobs.  [busy_ms] itself is worker-private state. *)
-type worker_slot = {
-  w_requests : Obs.Metrics.counter;
-  w_busy : Obs.Metrics.gauge;
-  mutable busy_ms : float;
-}
-
-let worker_slot i =
-  {
-    w_requests = Obs.Metrics.counter (Printf.sprintf "server.worker.%d.requests" i);
-    w_busy = Obs.Metrics.gauge (Printf.sprintf "server.worker.%d.busy_ms" i);
-    busy_ms = 0.0;
-  }
-
-(* A job is one connection, one request, one pre-drawn trace id.  [Stop]
-   is the shutdown sentinel: pushed once per worker, FIFO behind any
-   remaining jobs, so queued work is served before a worker parks. *)
-type job =
-  | Job of { c : client; trace : string; force_close : bool }
-  | Stop
-
 let rec write_all fd s off len =
   if len > 0 then begin
     match Unix.write_substring fd s off len with
@@ -163,8 +129,6 @@ let send_response fd ~close resp =
   match write_all fd bytes 0 (String.length bytes) with
   | () -> true
   | exception Unix.Unix_error (_, _, _) -> false
-
-let close_client c = try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ()
 
 let meth_string = function Http.GET -> "GET" | Http.POST -> "POST" | Http.Other s -> s
 
@@ -185,12 +149,12 @@ let access_log ~meth ~path ~status ~bytes ~dur_ms ~cache =
           (match cache with Some `Hit -> "hit" | Some `Miss -> "miss" | None -> "-") );
     ]
 
-(* Serve one request off a ready connection, on a worker domain.  The
-   whole exchange — parse included — runs under the handed-off trace id,
-   so even 4xx parse failures log with an id.  [force_close] is the
+(* Serve one request off a ready connection, on the loop that owns it.
+   The whole exchange — parse included — runs under the request's trace
+   id, so even 4xx parse failures log with an id.  [force_close] is the
    drain path: whatever happens, the peer is told the connection is
    done. *)
-let serve_one ~routes ~limits ~force_close ~trace ~slot c =
+let serve_one ~routes ~limits ~force_close ~trace ~loop_requests c =
   Obs.Span.with_trace trace @@ fun () ->
   match Http.parse_request ~limits c.conn with
   | Error Http.Eof -> `Close
@@ -202,7 +166,7 @@ let serve_one ~routes ~limits ~force_close ~trace ~slot c =
       `Close
   | Ok req -> (
       Obs.Metrics.incr m_requests;
-      Obs.Metrics.incr slot.w_requests;
+      Obs.Metrics.incr loop_requests;
       Obs.Span.with_ ~name:"server.request" @@ fun () ->
       let t0 = Obs.Span.now () in
       match Router.dispatch ~routes req with
@@ -259,40 +223,6 @@ let serve_one ~routes ~limits ~force_close ~trace ~slot c =
           c.last_active <- Unix.gettimeofday ();
           if !ok && not close then `Keep else `Close)
 
-(* Wake the acceptor out of select() after pushing to the completion
-   queue.  The pipe is non-blocking on both ends: a full pipe already
-   guarantees a pending wakeup, so EAGAIN is success. *)
-let wake fd =
-  match Unix.write_substring fd "w" 0 1 with
-  | _ -> ()
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) -> ()
-
-let drain_wake fd =
-  let buf = Bytes.create 512 in
-  let rec go () =
-    match Unix.read fd buf 0 512 with
-    | 0 -> ()
-    | _ -> go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  in
-  go ()
-
-let worker_loop ~routes ~limits ~slot ~work ~done_q ~wake_w () =
-  let rec loop () =
-    match Chan.pop work with
-    | Stop -> ()
-    | Job { c; trace; force_close } ->
-        let t0 = Obs.Span.now () in
-        let verdict = serve_one ~routes ~limits ~force_close ~trace ~slot c in
-        slot.busy_ms <-
-          slot.busy_ms +. (Int64.to_float (Int64.sub (Obs.Span.now ()) t0) /. 1e6);
-        Obs.Metrics.set slot.w_busy slot.busy_ms;
-        Chan.push done_q (c, verdict);
-        wake wake_w;
-        loop ()
-  in
-  loop ()
-
 (* The self-monitoring sampler: its own domain ticking
    [Monitor.sample_now] every [step_s].  Sleeps in ≤50 ms slices so a
    SIGTERM parks it within one slice, not one step — a 30 s step must
@@ -322,205 +252,200 @@ let select_readable fds timeout =
   | ready, _, _ -> ready
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
 
+let close_quietly fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+
+(* [Unix.select] watches descriptors below FD_SETSIZE only and raises
+   EINVAL past it.  [fd_index] reads a descriptor as its number: on Unix
+   [Unix.file_descr] is an [int] (it is a handle only on Windows, which
+   the service does not support). *)
+let fd_setsize = 1024
+let fd_index (fd : Unix.file_descr) : int = Obj.magic fd
+
+(* What every loop of one [run] shares: the listen socket and the
+   process-wide open-connection count behind [max_pending]. *)
+type shared = {
+  cfg : config;
+  routes : Router.route list;
+  limits : Http.limits;
+  lsock : Unix.file_descr;
+  open_conns : int Atomic.t;
+}
+
+(* One event loop's private state.  [stats] are its [/statusz] handles:
+   [server.worker.<i>.requests] counts the requests it parsed (bumped
+   with [server.requests], so the loops sum to the total) and
+   [server.worker.<i>.busy_ms] gauges its cumulative serving time. *)
+type loop = {
+  stats : Monitor.loop;
+  mutable busy_ms : float;
+  mutable trace_state : int64;
+  mutable conns : client list;
+  mutable accept_after : float;  (* accepting is paused until then *)
+}
+
+let make_loop ~seed i =
+  {
+    stats =
+      {
+        Monitor.requests = Obs.Metrics.counter (Printf.sprintf "server.worker.%d.requests" i);
+        busy_ms = Obs.Metrics.gauge (Printf.sprintf "server.worker.%d.busy_ms" i);
+      };
+    busy_ms = 0.0;
+    trace_state = Int64.logxor (mix64 seed) (mix64 (Int64.of_int i));
+    conns = [];
+    accept_after = 0.0;
+  }
+
+let next_trace_id lp =
+  lp.trace_state <- Int64.add lp.trace_state 0x9e3779b97f4a7c15L;
+  Printf.sprintf "%016Lx" (mix64 lp.trace_state)
+
+let reject fd =
+  Obs.Metrics.incr m_busy;
+  ignore (send_response fd ~close:true busy_response);
+  close_quietly fd
+
+let close_client sh c =
+  Atomic.decr sh.open_conns;
+  close_quietly c.fd
+
+let accept_one sh lp =
+  match Unix.accept ~cloexec:true sh.lsock with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE | Unix.ECONNABORTED), _, _) ->
+      Obs.Metrics.incr m_busy;
+      lp.accept_after <- Unix.gettimeofday () +. sh.cfg.idle_poll_s
+  | fd, _addr ->
+      (* Nagle + the peer's delayed ACK can park a small pipelined
+         response for ~40 ms; responses are written in one buffered
+         burst, so there is nothing for Nagle to coalesce anyway.
+         Unix-domain sockets reject the option — ignore that. *)
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error (_, _, _) -> ());
+      if fd_index fd >= fd_setsize then reject fd
+      else if Atomic.fetch_and_add sh.open_conns 1 >= sh.cfg.max_pending then begin
+        Atomic.decr sh.open_conns;
+        reject fd
+      end
+      else begin
+        Obs.Metrics.incr m_accepted;
+        let conn = Http.conn_of_fd ~timeout_s:sh.cfg.read_timeout_s fd in
+        lp.conns <- { fd; conn; last_active = Unix.gettimeofday () } :: lp.conns
+      end
+
+let serve sh lp ~force_close c =
+  let t0 = Obs.Span.now () in
+  let trace = next_trace_id lp in
+  let verdict =
+    serve_one ~routes:sh.routes ~limits:sh.limits ~force_close ~trace
+      ~loop_requests:lp.stats.Monitor.requests c
+  in
+  lp.busy_ms <- lp.busy_ms +. (Int64.to_float (Int64.sub (Obs.Span.now ()) t0) /. 1e6);
+  Obs.Metrics.set lp.stats.Monitor.busy_ms lp.busy_ms;
+  verdict
+
+(* One tick (see the header).  [draining] stops accepting and idle
+   reaping and tells every peer served this tick that its connection is
+   done. *)
+let tick sh lp ~draining ~timeout =
+  Obs.Metrics.set g_pending (float_of_int (Atomic.get sh.open_conns));
+  let listening = (not draining) && Unix.gettimeofday () >= lp.accept_after in
+  let fds = List.map (fun c -> c.fd) lp.conns in
+  let timeout = if List.exists (fun c -> Http.buffered c.conn) lp.conns then 0.0 else timeout in
+  let ready = select_readable (if listening then sh.lsock :: fds else fds) timeout in
+  if listening && List.mem sh.lsock ready then accept_one sh lp;
+  let now = Unix.gettimeofday () in
+  lp.conns <-
+    List.filter
+      (fun c ->
+        if Http.buffered c.conn || List.mem c.fd ready then
+          match serve sh lp ~force_close:draining c with
+          | `Keep -> true
+          | `Close ->
+              close_client sh c;
+              false
+        else if (not draining) && now -. c.last_active > sh.cfg.idle_timeout_s then begin
+          close_client sh c;
+          false
+        end
+        else true)
+      lp.conns
+
+(* Serve until stopped, then drain: answer what is already read or
+   readable — with [Connection: close] — until every connection is done
+   or [drain_grace_s] runs out, and close what is left. *)
+let run_loop ?(on_draining = ignore) sh lp =
+  while not (Atomic.get stop_flag) do
+    tick sh lp ~draining:false ~timeout:sh.cfg.idle_poll_s
+  done;
+  on_draining ();
+  let deadline = Unix.gettimeofday () +. sh.cfg.drain_grace_s in
+  let rec drain () =
+    let left = deadline -. Unix.gettimeofday () in
+    if lp.conns <> [] && left > 0.0 then begin
+      tick sh lp ~draining:true ~timeout:(Float.min 0.05 left);
+      drain ()
+    end
+  in
+  drain ();
+  List.iter (close_client sh) lp.conns;
+  lp.conns <- []
+
 let run ?on_ready cfg =
   Atomic.set stop_flag false;
-  seed_traces cfg.trace_seed;
+  let nloops = if cfg.workers > 0 then cfg.workers else Exec.default_jobs () in
+  let seed = trace_seed cfg.trace_seed in
+  let loops = Array.init nloops (make_loop ~seed) in
   (* Fresh ring + alert engine per server run: stale samples from a
      previous run in this process (tests, bench) must not leak into
      /varz windows. *)
   ignore
     (Monitor.configure ~step_s:cfg.sampler_step_s ~retention:cfg.retention
-       ~rules:cfg.slo_rules ());
+       ~rules:cfg.slo_rules
+       ~loops:(Array.map (fun lp -> lp.stats) loops)
+       ());
+  Obs.Metrics.set g_workers (float_of_int nloops);
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let limits = { Http.max_head = cfg.max_head; Http.max_body = cfg.max_body } in
-  let routes = Handlers.routes () in
-  let nworkers = if cfg.workers > 0 then cfg.workers else Exec.default_jobs () in
-  let depth = if cfg.queue_depth > 0 then cfg.queue_depth else cfg.max_pending in
-  let work : job Chan.t = Chan.create ~capacity:depth () in
-  let done_q : (client * [ `Keep | `Close ]) Chan.t = Chan.create () in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
-  let slots = Array.init nworkers worker_slot in
-  Obs.Metrics.set g_workers (float_of_int nworkers);
   let lsock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let close_quietly fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> () in
-  Fun.protect
-    ~finally:(fun () ->
-      close_quietly lsock;
-      close_quietly wake_r;
-      close_quietly wake_w)
-    (fun () ->
-      Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-      Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
-      Unix.listen lsock 64;
-      Unix.set_nonblock lsock;
-      let port =
-        match Unix.getsockname lsock with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> cfg.port
-      in
-      let domains =
-        Array.map
-          (fun slot -> Domain.spawn (worker_loop ~routes ~limits ~slot ~work ~done_q ~wake_w))
-          slots
-      in
-      let sampler =
-        if cfg.sampler_step_s > 0.0 then
-          Some (Domain.spawn (sampler_loop ~step_s:cfg.sampler_step_s))
-        else None
-      in
-      let joined = ref false in
-      let join_workers () =
-        if not !joined then begin
-          joined := true;
-          for _ = 1 to nworkers do
-            Chan.push work Stop
-          done;
-          Array.iter Domain.join domains;
-          (* The sampler parks on the stop flag alone; raise it here so
-             an exceptional unwind (flag still false) cannot hang the
-             join. *)
-          Atomic.set stop_flag true;
-          Option.iter Domain.join sampler
-        end
-      in
-      Fun.protect ~finally:join_workers @@ fun () ->
-      Option.iter (fun f -> f ~port) on_ready;
-      cfg.log
-        (Printf.sprintf "solarstorm serve: listening on http://%s:%d (%d workers)\n"
-           cfg.host port nworkers);
-      (* Acceptor state: [idle] connections are owned here; a handoff
-         transfers ownership to a worker until the connection comes back
-         through [done_q].  [in_flight] is only ever touched by this
-         domain (incremented at handoff, decremented at collection), so
-         a plain ref suffices. *)
-      let idle = ref [] in
-      let in_flight = ref 0 in
-      let handoff ~force_close c =
-        let trace = next_trace_id () in
-        if Chan.try_push work (Job { c; trace; force_close }) then incr in_flight
-        else begin
-          (* Queue full: shed load now rather than buffering a backlog
-             the workers are provably behind on. *)
-          Obs.Metrics.incr m_busy;
-          ignore (send_response c.fd ~close:true busy_response);
-          close_client c
-        end
-      in
-      let collect ~draining () =
-        let rec go () =
-          match Chan.try_pop done_q with
-          | None -> ()
-          | Some (c, verdict) ->
-              decr in_flight;
-              (match verdict with
-              | `Close -> close_client c
-              | `Keep ->
-                  if draining then close_client c
-                  else if Http.buffered c.conn then
-                    (* Pipelined bytes already parsed off the socket:
-                       re-hand immediately, no select needed. *)
-                    handoff ~force_close:false c
-                  else begin
-                    c.last_active <- Unix.gettimeofday ();
-                    idle := !idle @ [ c ]
-                  end);
-              go ()
-        in
-        go ()
-      in
-      let rec accept_burst () =
-        match Unix.accept ~cloexec:true lsock with
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-          -> ()
-        | fd, _addr ->
-            (* Nagle + the peer's delayed ACK can park a small pipelined
-               response for ~40 ms; responses are written in one buffered
-               burst, so there is nothing for Nagle to coalesce anyway.
-               Unix-domain sockets reject the option — ignore that. *)
-            (try Unix.setsockopt fd Unix.TCP_NODELAY true
-             with Unix.Unix_error (_, _, _) -> ());
-            if List.length !idle + !in_flight >= cfg.max_pending then begin
-              Obs.Metrics.incr m_busy;
-              ignore (send_response fd ~close:true busy_response);
-              close_quietly fd;
-              accept_burst ()
-            end
-            else begin
-              Obs.Metrics.incr m_accepted;
-              let c =
-                {
-                  fd;
-                  conn = Http.conn_of_fd ~timeout_s:cfg.read_timeout_s fd;
-                  last_active = Unix.gettimeofday ();
-                }
-              in
-              idle := !idle @ [ c ];
-              accept_burst ()
-            end
-      in
-      while not (Atomic.get stop_flag) do
-        Obs.Metrics.set g_pending (float_of_int (List.length !idle + !in_flight));
-        let ready_fds =
-          select_readable
-            (lsock :: wake_r :: List.map (fun c -> c.fd) !idle)
-            cfg.idle_poll_s
-        in
-        if List.mem wake_r ready_fds then drain_wake wake_r;
-        collect ~draining:false ();
-        if List.mem lsock ready_fds then accept_burst ();
-        let now = Unix.gettimeofday () in
-        idle :=
-          List.filter
-            (fun c ->
-              if List.mem c.fd ready_fds then begin
-                handoff ~force_close:false c;
-                false
-              end
-              else if now -. c.last_active > cfg.idle_timeout_s then begin
-                close_client c;
-                false
-              end
-              else true)
-            !idle
-      done;
-      cfg.log "solarstorm serve: draining\n";
-      (* Serve what is in flight or already readable — every response
-         now announces [Connection: close] — until everything is
-         answered or the grace budget runs out.  Jobs still queued at
-         the deadline are not abandoned: the Stop sentinels queue
-         behind them, so workers finish them before parking. *)
-      let deadline = Unix.gettimeofday () +. cfg.drain_grace_s in
-      let rec drain_loop () =
-        collect ~draining:true ();
-        let now = Unix.gettimeofday () in
-        if now < deadline && (!in_flight > 0 || !idle <> []) then begin
-          let ready_fds =
-            select_readable
-              (wake_r :: List.map (fun c -> c.fd) !idle)
-              (Float.min 0.05 (deadline -. now))
-          in
-          if List.mem wake_r ready_fds then drain_wake wake_r;
-          collect ~draining:true ();
-          idle :=
-            List.filter
-              (fun c ->
-                if Http.buffered c.conn || List.mem c.fd ready_fds then begin
-                  handoff ~force_close:true c;
-                  false
-                end
-                else true)
-              !idle;
-          drain_loop ()
-        end
-      in
-      drain_loop ();
-      join_workers ();
-      (* Workers are parked; anything they completed after the last
-         collect is still in the queue, and unready idle connections
-         just close. *)
-      collect ~draining:true ();
-      List.iter close_client !idle;
-      idle := [];
-      cfg.log "solarstorm serve: stopped\n")
+  Fun.protect ~finally:(fun () -> close_quietly lsock) @@ fun () ->
+  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
+  Unix.listen lsock 64;
+  Unix.set_nonblock lsock;
+  let port =
+    match Unix.getsockname lsock with Unix.ADDR_INET (_, p) -> p | _ -> cfg.port
+  in
+  let sh =
+    {
+      cfg;
+      routes = Handlers.routes ();
+      limits = { Http.max_head = cfg.max_head; Http.max_body = cfg.max_body };
+      lsock;
+      open_conns = Atomic.make 0;
+    }
+  in
+  let sampler =
+    if cfg.sampler_step_s > 0.0 then Some (Domain.spawn (sampler_loop ~step_s:cfg.sampler_step_s))
+    else None
+  in
+  let others =
+    Array.init (nloops - 1) (fun i -> Domain.spawn (fun () -> run_loop sh loops.(i + 1)))
+  in
+  let joined = ref false in
+  let join_all () =
+    if not !joined then begin
+      joined := true;
+      (* Loops and sampler park on the stop flag alone; raise it here so
+         an exceptional unwind (flag still false) cannot hang the join. *)
+      Atomic.set stop_flag true;
+      Array.iter Domain.join others;
+      Option.iter Domain.join sampler
+    end
+  in
+  Fun.protect ~finally:join_all @@ fun () ->
+  Option.iter (fun f -> f ~port) on_ready;
+  cfg.log
+    (Printf.sprintf "solarstorm serve: listening on http://%s:%d (%d workers)\n" cfg.host
+       port nloops);
+  run_loop sh loops.(0) ~on_draining:(fun () -> cfg.log "solarstorm serve: draining\n");
+  join_all ();
+  cfg.log "solarstorm serve: stopped\n"

@@ -1,64 +1,66 @@
-(** The long-running simulation service: acceptor + worker-pool socket
-    loops, backpressure and graceful shutdown behind [solarstorm serve].
+(** The long-running simulation service behind [solarstorm serve]: N
+    self-contained event loops, backpressure and graceful shutdown.
 
-    Concurrency model (DESIGN.md §8): one {e acceptor} loop on the
-    calling domain owns the listen socket and every idle connection; a
-    pool of [workers] {e worker domains} owns requests.  The acceptor
-    selects for readiness and hands each parse-ready connection — plus a
-    trace id drawn before handoff — to the pool over a bounded job
-    queue; the receiving worker parses, dispatches and writes the
-    response end-to-end, then returns the connection through a
-    completion queue (self-pipe wakeup).  A connection is owned by
-    exactly one domain at any moment.  One request per handoff keeps
-    round-robin fairness: a pipelining client re-queues behind everyone
-    else after each response.
+    Concurrency model (DESIGN.md §8): [--workers N] means N identical
+    event loops and nothing else.  The calling domain runs loop 0 and
+    N−1 spawned domains run the others; all share one non-blocking
+    listen socket.  Each loop owns the connections it accepts end to
+    end — accept, readiness [select], parse, dispatch, write, idle
+    reaping and drain — so a connection never moves between domains.
+    A loop accepts at most one connection per tick, so a burst of
+    connections spreads over the loops, and serves one request per
+    ready connection per tick, round-robin, so a pipelining client
+    cannot starve the others.
 
-    Requests on different workers run genuinely in parallel, so
+    Requests on different loops run genuinely in parallel, so
     everything they touch is domain-safe: the result cache is
     lock-striped ({!Lru.Sharded} via {!Api}), plan/dataset memos are
     single-flight mutexes, metrics are sharded atomics, and the trace
-    context is domain-local.  Responses are byte-identical to the
-    single-worker path for any worker count — simulation draws are
-    per-request state, exactly as {!Stormsim.Plan.run_trials_par}
-    proves per-trial.
+    context is domain-local.  Responses are byte-identical for any
+    loop count — simulation draws are per-request state, exactly as
+    {!Stormsim.Plan.run_trials_par} proves per-trial.
 
-    Backpressure: accepted connections are capped at [max_pending]
-    (idle + in flight) and the job queue at [queue_depth]; past either,
-    new work is answered [503 Service Unavailable] immediately instead
-    of queueing without bound.
+    Backpressure: open connections across the whole process are capped
+    at [max_pending]; past it a new connection is answered
+    [503 Service Unavailable] and closed instead of queueing without
+    bound.  A connection whose descriptor is at or above FD_SETSIZE
+    (1024), which [select] cannot watch, gets the same 503.  An
+    [accept] failing with EMFILE, ENFILE or ECONNABORTED counts as a
+    busy rejection and pauses that loop's accepting for [idle_poll_s].
 
     Shutdown: {!stop} (or SIGINT/SIGTERM via {!install_signal_handlers})
-    makes the acceptor stop accepting, serve in-flight and
-    already-readable work for a grace period with [Connection: close],
-    then park every worker (shutdown sentinels queue FIFO behind
-    remaining jobs, so accepted work is answered), join them and
-    return — the CLI then exits 0. *)
+    makes every loop stop accepting and serve the requests it has
+    already read or that are already readable, with
+    [Connection: close], until the [drain_grace_s] deadline; it then
+    closes what is left.  Loop 0 joins the other loops and the sampler
+    and returns — the CLI then exits 0. *)
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 = ephemeral (the OS picks; see [on_ready]) *)
   workers : int;
-      (** worker domains serving requests; [0] (default) =
-          {!Exec.default_jobs} — i.e. [--jobs]/[SOLARSTORM_JOBS], else 1 *)
-  queue_depth : int;
-      (** job-queue bound between acceptor and workers; [0] (default) =
-          [max_pending], which makes the queue bound unreachable (the
-          pending cap trips first) — set lower for earlier shedding *)
-  max_pending : int;  (** connections held at once (idle + in flight); over → 503 *)
+      (** event loops, each on its own domain (loop 0 on the caller's);
+          [0] (default) = {!Exec.default_jobs} — i.e.
+          [--jobs]/[SOLARSTORM_JOBS], else 1 *)
+  max_pending : int;
+      (** connections open at once across all loops; over → 503 *)
   max_head : int;  (** request-line + header byte cap (431 over it) *)
   max_body : int;  (** body byte cap (413 over it) *)
   read_timeout_s : float;  (** per-read stall budget (408 past it) *)
   idle_timeout_s : float;  (** silent keep-alive connections are closed *)
-  idle_poll_s : float;  (** readiness-poll tick; bounds stop latency *)
-  drain_grace_s : float;  (** budget for serving in-flight requests on stop *)
+  idle_poll_s : float;
+      (** readiness-poll tick; bounds stop latency and is how long a
+          loop stops accepting after an EMFILE/ENFILE/ECONNABORTED *)
+  drain_grace_s : float;  (** budget for serving already-read requests on stop *)
   log : string -> unit;  (** service log lines (default: stdout) *)
   trace_seed : int option;
-      (** seed for per-request trace ids: [Some s] makes the n-th
-          request's id identical across runs (tests, CI); [None]
-          (default) seeds from wall clock ⊕ pid at {!run} time.  Ids are
-          drawn by the acceptor in handoff order, so they stay
-          deterministic for any worker count when requests arrive
-          sequentially *)
+      (** seed for per-request trace ids: [Some s] makes ids
+          reproducible across runs (tests, CI); [None] (default) seeds
+          from wall clock ⊕ pid at {!run} time.  Each loop draws from
+          its own SplitMix64 stream, one id per request it serves, so
+          an id is a function of (seed, loop, per-loop index).  Loop 0's
+          stream is the single-loop stream: with [workers = 1] the n-th
+          request gets the same id on every run *)
   sampler_step_s : float;
       (** self-monitoring sampling step (default 1 s): a dedicated
           sampler domain freezes a metrics snapshot into the {!Monitor}
@@ -73,16 +75,23 @@ type config = {
 val default_config : config
 
 val run : ?on_ready:(port:int -> unit) -> config -> unit
-(** Bind, listen, spawn the worker pool (plus the self-monitoring
-    sampler domain unless [sampler_step_s = 0]) and serve until {!stop};
-    all spawned domains are joined before returning.  [on_ready] fires once
-    with the actually-bound port (useful with [port = 0]) right before
-    the first accept.  Per-worker activity lands on the
-    [server.worker.<i>.requests] counters and
-    [server.worker.<i>.busy_ms] gauges (surfaced by [/statusz]); the
-    pool size is on the [server.workers] gauge.
+(** Bind and listen, spawn the other [workers − 1] loops (plus the
+    self-monitoring sampler domain unless [sampler_step_s = 0]), run
+    loop 0 on the calling domain until {!stop}, then drain; all spawned
+    domains are joined before returning.  [on_ready] fires once with
+    the actually-bound port (useful with [port = 0]) before loop 0's
+    first accept.  Each loop's handles — the
+    [server.worker.<i>.requests] counter and [server.worker.<i>.busy_ms]
+    gauge — are registered in {!Monitor} for [/statusz]; the loop count
+    is on the [server.workers] gauge and open connections on
+    [server.pending].
     @raise Unix.Unix_error when the bind/listen itself fails (address
     in use, permission). *)
+
+val fd_index : Unix.file_descr -> int
+(** The descriptor's number, which [Unix.select] needs below FD_SETSIZE
+    (1024).  Unix only: there [Unix.file_descr] is an [int]; on Windows
+    it is a handle and this helper is meaningless. *)
 
 val stop : unit -> unit
 (** Ask a running {!run} to drain and return.  Safe to call from a

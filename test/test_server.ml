@@ -1,8 +1,10 @@
 (* Tests for the lib/server service layer: the hardened HTTP parser
    (valid, truncated, oversized, pipelined input), the router's error
    mapping, the LRU, the canonical result cache (a repeated request is
-   answered byte-identically without re-running trials), and a loopback
-   end-to-end exchange against a real socket on an ephemeral port. *)
+   answered byte-identically without re-running trials), loopback
+   end-to-end exchanges against a real socket on an ephemeral port, the
+   event loops' trace-id goldens and FD_SETSIZE guard, and QCheck
+   properties for pipelined parsing under arbitrary write splits. *)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -430,31 +432,20 @@ let test_read_chunk_malformed () =
 
 (* --- loopback end-to-end --- *)
 
-(* Read one response off the socket: head to CRLFCRLF, then exactly
-   content-length body bytes (responses always carry one). *)
-let read_response fd =
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec until_head () =
-    match contains (Buffer.contents buf) "\r\n\r\n" with
-    | true -> ()
-    | false ->
-        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-        if n = 0 then failwith "peer closed before response head";
-        Buffer.add_subbytes buf chunk 0 n;
-        until_head ()
-  in
-  until_head ();
-  let all = Buffer.contents buf in
+(* Split the first complete response off [buf]: head to CRLFCRLF, then
+   exactly content-length body bytes (responses always carry one).
+   [None] until all of it has arrived. *)
+let split_response buf =
   let hd_end =
     let rec find i =
-      if i + 4 > String.length all then failwith "no head terminator"
-      else if String.sub all i 4 = "\r\n\r\n" then i
+      if i + 4 > String.length buf then None
+      else if String.sub buf i 4 = "\r\n\r\n" then Some i
       else find (i + 1)
     in
     find 0
   in
-  let head = String.sub all 0 hd_end in
+  Option.bind hd_end @@ fun hd_end ->
+  let head = String.sub buf 0 hd_end in
   let status =
     match String.split_on_char ' ' head with
     | _ :: code :: _ -> int_of_string code
@@ -471,16 +462,32 @@ let read_response fd =
         int_of_string (String.trim (String.sub line 15 (String.length line - 15)))
     | None -> failwith "no content-length"
   in
-  let rec body_bytes got =
-    if String.length got >= content_length then String.sub got 0 content_length
-    else begin
-      let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-      if n = 0 then failwith "peer closed mid-body";
-      body_bytes (got ^ Bytes.sub_string chunk 0 n)
-    end
+  let body_start = hd_end + 4 in
+  if String.length buf < body_start + content_length then None
+  else
+    let rest = body_start + content_length in
+    Some
+      ( (status, head, String.sub buf body_start content_length),
+        String.sub buf rest (String.length buf - rest) )
+
+(* Read [k] pipelined responses off the socket, in order. *)
+let read_responses fd k =
+  let chunk = Bytes.create 4096 in
+  let rec go k buf acc =
+    if k = 0 then List.rev acc
+    else
+      match split_response buf with
+      | Some (resp, rest) -> go (k - 1) rest (resp :: acc)
+      | None ->
+          let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+          if n = 0 then
+            failwith
+              (if buf = "" then "peer closed before response head" else "peer closed mid-response");
+          go k (buf ^ Bytes.sub_string chunk 0 n) acc
   in
-  let already = String.sub all (hd_end + 4) (String.length all - hd_end - 4) in
-  (status, head, body_bytes already)
+  go k "" []
+
+let read_response fd = List.hd (read_responses fd 1)
 
 let send_all fd s =
   let rec go off len =
@@ -939,43 +946,6 @@ let test_loadgen_counts_failures () =
     (Invalid_argument "Loadgen.run: requests <= 0") (fun () ->
       ignore (Server.Loadgen.run ~requests:0 ~body:None target))
 
-(* --- Chan: the acceptor/worker handoff channel --- *)
-
-let test_chan_bounded_fifo () =
-  let c : int Server.Chan.t = Server.Chan.create ~capacity:2 () in
-  Alcotest.(check bool) "push 1" true (Server.Chan.try_push c 1);
-  Alcotest.(check bool) "push 2" true (Server.Chan.try_push c 2);
-  Alcotest.(check bool) "full refuses" false (Server.Chan.try_push c 3);
-  (* The unconditional push (shutdown sentinels) ignores the bound. *)
-  Server.Chan.push c 99;
-  Alcotest.(check int) "length" 3 (Server.Chan.length c);
-  Alcotest.(check int) "fifo 1" 1 (Server.Chan.pop c);
-  Alcotest.(check int) "fifo 2" 2 (Server.Chan.pop c);
-  Alcotest.(check int) "fifo 3" 99 (Server.Chan.pop c);
-  Alcotest.(check (option int)) "empty try_pop" None (Server.Chan.try_pop c);
-  Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Chan.create: negative capacity") (fun () ->
-      ignore (Server.Chan.create ~capacity:(-1) () : int Server.Chan.t))
-
-let test_chan_cross_domain () =
-  let c : int Server.Chan.t = Server.Chan.create () in
-  let producers = 3 and per = 100 in
-  let doms =
-    List.init producers (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              Server.Chan.push c ((p * per) + i)
-            done))
-  in
-  let seen = Hashtbl.create 512 in
-  for _ = 1 to producers * per do
-    Hashtbl.replace seen (Server.Chan.pop c) ()
-  done;
-  List.iter Domain.join doms;
-  Alcotest.(check int) "every push popped exactly once" (producers * per)
-    (Hashtbl.length seen);
-  Alcotest.(check (option int)) "nothing left" None (Server.Chan.try_pop c)
-
 (* --- sharded LRU --- *)
 
 let test_sharded_clamps_and_orders () =
@@ -1400,6 +1370,229 @@ let test_top_end_to_end () =
   (* Not a tty here: no ANSI clear codes in redirected output. *)
   Alcotest.(check bool) "no escape codes" false (contains out "\027[")
 
+(* --- event loops: trace ids, the fd guard, pipelining properties --- *)
+
+(* The first three ids a --workers 1 server hands out under
+   --trace-seed 42, recorded from the acceptor-and-pool server these
+   loops replaced: loop 0's stream is the single-loop stream. *)
+let test_trace_ids_golden () =
+  with_loopback_server ~trace_seed:42 ~workers:1 @@ fun port ->
+  let ids =
+    List.init 3 (fun _ ->
+        let _, head, _ = get_response port "/healthz" in
+        header_value head "x-trace-id")
+  in
+  Alcotest.(check (list (option string)))
+    "ids match the single-loop stream"
+    [ Some "989b3f130a063869"; Some "290db4bf2570ded7"; Some "2a990be63a01b2d5" ]
+    ids
+
+(* select() cannot watch a descriptor at or above FD_SETSIZE, so the
+   server must shed such a connection with a 503 instead of crashing in
+   select, and keep serving once descriptors free up. *)
+let test_fd_setsize_guard () =
+  with_loopback_server @@ fun port ->
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  let held = ref [ null ] in
+  let release () =
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ()) !held;
+    held := []
+  in
+  Fun.protect ~finally:release @@ fun () ->
+  (* [dup] returns the lowest free descriptor, so once it hands out
+     1023 every lower one is taken and the next socket lands at 1024 or
+     above — on both ends of the loopback connection. *)
+  let rec fill () =
+    match Unix.dup ~cloexec:true null with
+    | fd ->
+        held := fd :: !held;
+        if Server.Service.fd_index fd < 1023 then fill () else `Filled
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> `Limit
+  in
+  match fill () with
+  | `Limit ->
+      print_endline "skipped: RLIMIT_NOFILE is too low to reach descriptor 1024";
+      release ();
+      Alcotest.skip ()
+  | `Filled ->
+      let busy_before = counter_value "server.rejected.busy" in
+      (* A server that died in select() would leave this read hanging;
+         the receive timeout turns that into a failure. *)
+      let status, _, _ =
+        with_client port @@ fun fd ->
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        send_all fd "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n";
+        read_response fd
+      in
+      Alcotest.(check int) "connection past FD_SETSIZE is shed" 503 status;
+      Alcotest.(check int) "shed counted as busy" (busy_before + 1)
+        (counter_value "server.rejected.busy");
+      release ();
+      let status, _, body = get_response port "/healthz" in
+      Alcotest.(check int) "served again once descriptors free up" 200 status;
+      Alcotest.(check string) "healthz body" "{\"status\":\"ok\"}\n" body
+
+let valid_request_gen =
+  let open QCheck.Gen in
+  let printable = map Char.chr (int_range 32 126) in
+  oneof
+    [
+      return "GET /healthz HTTP/1.1\r\n\r\n";
+      map (fun q -> "GET /statusz?window=" ^ q ^ " HTTP/1.1\r\nx-a: 1\r\n\r\n")
+        (string_size ~gen:(char_range 'a' 'z') (int_range 1 8));
+      map
+        (fun body ->
+          Printf.sprintf "POST /simulate HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s"
+            (String.length body) body)
+        (string_size ~gen:printable (int_range 0 64));
+    ]
+
+(* Cut [s] at the given offsets (taken modulo its length). *)
+let split_at s cuts =
+  let n = String.length s in
+  let cuts =
+    List.sort_uniq compare (List.filter (fun i -> i > 0 && i < n) (List.map (fun c -> c mod (n + 1)) cuts))
+  in
+  let rec go from = function
+    | [] -> [ String.sub s from (n - from) ]
+    | c :: rest -> String.sub s from (c - from) :: go c rest
+  in
+  go 0 cuts
+
+(* Every request [parse_request] yields before its first error, plus
+   that error; it must never raise. *)
+let parse_all conn =
+  let rec go acc =
+    match Server.Http.parse_request conn with
+    | Ok req -> go (req :: acc)
+    | Error e -> (List.rev acc, e)
+  in
+  go []
+
+(* Write [chunks] into one end of a socketpair from another domain,
+   pausing between writes so the reader sees them as separate reads,
+   then half-close; parse everything off the other end. *)
+let parse_over_socketpair chunks =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      try Unix.close w with Unix.Unix_error (_, _, _) -> ())
+    (fun () ->
+      let writer =
+        Domain.spawn (fun () ->
+            List.iter
+              (fun chunk ->
+                send_all w chunk;
+                Unix.sleepf 0.0002)
+              chunks;
+            Unix.shutdown w Unix.SHUTDOWN_SEND)
+      in
+      let result = parse_all (Server.Http.conn_of_fd ~timeout_s:5.0 r) in
+      Domain.join writer;
+      result)
+
+let prop_parse_split_invariant =
+  QCheck.Test.make ~name:"parse_request is invariant under write splits" ~count:60
+    QCheck.(
+      make
+        ~print:(fun (reqs, cuts) ->
+          Printf.sprintf "%S cut at [%s]" (String.concat "" reqs)
+            (String.concat ";" (List.map string_of_int cuts)))
+        Gen.(pair (list_size (int_range 1 5) valid_request_gen)
+               (list_size (int_range 0 8) (int_range 0 1000))))
+    (fun (reqs, cuts) ->
+      let stream = String.concat "" reqs in
+      let whole = parse_all (Server.Http.conn_of_string stream) in
+      let split = parse_over_socketpair (split_at stream cuts) in
+      List.length (fst whole) = List.length reqs
+      && whole = (fst whole, Server.Http.Eof)
+      && split = whole)
+
+let prop_parse_total =
+  (* Arbitrary bytes, and valid streams with a few bytes overwritten. *)
+  let mutated =
+    QCheck.Gen.(
+      map2
+        (fun reqs edits ->
+          let b = Bytes.of_string (String.concat "" reqs) in
+          List.iter
+            (fun (i, c) -> if Bytes.length b > 0 then Bytes.set b (i mod Bytes.length b) c)
+            edits;
+          Bytes.to_string b)
+        (list_size (int_range 1 3) valid_request_gen)
+        (list_size (int_range 1 4) (pair (int_range 0 1000) char)))
+  in
+  QCheck.Test.make ~name:"parse_request never raises on arbitrary bytes" ~count:200
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(oneof [ string_size ~gen:char (int_range 0 512); mutated ]))
+    (fun bytes ->
+      let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close r;
+          Unix.close w)
+        (fun () ->
+          send_all w bytes;
+          Unix.shutdown w Unix.SHUTDOWN_SEND;
+          match parse_all (Server.Http.conn_of_fd ~timeout_s:5.0 r) with
+          | _ -> true
+          | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)))
+
+(* A response without its X-Trace-Id line: the one header that differs
+   between two servings of the same request. *)
+let without_trace_id (status, head, body) =
+  let lines =
+    List.filter
+      (fun line ->
+        not (String.starts_with ~prefix:"x-trace-id:" (String.lowercase_ascii line)))
+      (String.split_on_char '\n' head)
+  in
+  (status, String.concat "\n" lines, body)
+
+(* K pipelined POST /simulate requests against two loops, written with
+   random split points, get K in-order responses, byte-equal to what
+   one unsplit write of the same stream gets. *)
+let test_pipelined_splits_two_loops () =
+  with_loopback_server ~workers:2 @@ fun port ->
+  let exchange chunks k =
+    with_client port @@ fun fd ->
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+    List.iter
+      (fun chunk ->
+        send_all fd chunk;
+        Unix.sleepf 0.0002)
+      chunks;
+    List.map without_trace_id (read_responses fd k)
+  in
+  let prop =
+    QCheck.Test.make ~name:"pipelined splits against two loops" ~count:25
+      QCheck.(
+        make
+          ~print:(fun (seeds, cuts) ->
+            Printf.sprintf "seeds [%s] cut at [%s]"
+              (String.concat ";" (List.map string_of_int seeds))
+              (String.concat ";" (List.map string_of_int cuts)))
+          Gen.(pair (list_size (int_range 1 4) (int_range 1 3))
+                 (list_size (int_range 0 8) (int_range 0 2000))))
+      (fun (seeds, cuts) ->
+        let stream =
+          String.concat ""
+            (List.map
+               (fun seed ->
+                 let body = Printf.sprintf "{\"trials\":2,\"seed\":%d}" seed in
+                 Printf.sprintf "POST /simulate HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s"
+                   (String.length body) body)
+               seeds)
+        in
+        let k = List.length seeds in
+        let whole = exchange [ stream ] k in
+        let split = exchange (split_at stream cuts) k in
+        List.for_all (fun (status, _, _) -> status = 200) whole && split = whole)
+  in
+  QCheck.Test.check_exn prop
+
 let () =
   Alcotest.run "server"
     [
@@ -1433,9 +1626,6 @@ let () =
             test_sharded_clamps_and_orders;
           Alcotest.test_case "sharded multi-domain stress" `Quick
             test_sharded_multi_domain_stress ] );
-      ( "chan",
-        [ Alcotest.test_case "bounded fifo" `Quick test_chan_bounded_fifo;
-          Alcotest.test_case "cross domain" `Quick test_chan_cross_domain ] );
       ( "cache",
         [ Alcotest.test_case "key canonicalization" `Quick test_cache_key_canonicalization;
           Alcotest.test_case "hit skips trials" `Quick test_cache_hit_skips_trials;
@@ -1479,4 +1669,13 @@ let () =
             test_statusz_build_and_alerts_blocks;
           Alcotest.test_case "top renders a frame" `Quick test_top_render_frame;
           Alcotest.test_case "top end to end" `Quick test_top_end_to_end ] );
+      ( "event loops",
+        [ Alcotest.test_case "trace ids match the single-loop goldens" `Quick
+            test_trace_ids_golden;
+          Alcotest.test_case "fd past FD_SETSIZE is shed with 503" `Quick
+            test_fd_setsize_guard;
+          Alcotest.test_case "pipelined splits against two loops" `Quick
+            test_pipelined_splits_two_loops;
+          QCheck_alcotest.to_alcotest prop_parse_split_invariant;
+          QCheck_alcotest.to_alcotest prop_parse_total ] );
     ]
