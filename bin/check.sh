@@ -147,6 +147,16 @@ cmp /tmp/simulate_seq.out /tmp/simulate_profiled.out \
   || { echo "check.sh: --profile/--progress changed simulate output" >&2; exit 1; }
 rm -f /tmp/simulate_seq.out /tmp/simulate_par.out /tmp/simulate_profiled.out
 
+echo "== figures output does not depend on --jobs =="
+# Every figure's trials run on the one parallel driver (the grid-coupled
+# trial included), so the whole reproduction must be byte-equal at any
+# job count.
+dune exec bin/solarstorm.exe -- figures --jobs 1 > /tmp/figures_j1.out
+dune exec bin/solarstorm.exe -- figures --jobs 4 > /tmp/figures_j4.out
+cmp /tmp/figures_j1.out /tmp/figures_j4.out \
+  || { echo "check.sh: figures --jobs 4 changed the figures" >&2; exit 1; }
+rm -f /tmp/figures_j1.out /tmp/figures_j4.out
+
 echo "== solarstorm serve: smoke gate =="
 # Boot the service on an ephemeral port, exercise every acceptance
 # property over real HTTP, then prove SIGTERM drains to a clean exit 0.

@@ -29,9 +29,6 @@ val get : t -> int -> bool
 (** [get t c] — is cable [c] dead?  @raise Invalid_argument out of
     bounds. *)
 
-val set_dead : t -> int -> unit
-(** Mark cable [c] dead.  @raise Invalid_argument out of bounds. *)
-
 val set : t -> int -> bool -> unit
 (** Set cable [c]'s flag explicitly.  @raise Invalid_argument out of
     bounds. *)
@@ -41,7 +38,7 @@ val unsafe_get : t -> int -> bool
     is already validated. *)
 
 val unsafe_set_dead : t -> int -> unit
-(** {!set_dead} without the bounds check. *)
+(** Mark cable [c] dead, without a bounds check. *)
 
 val count_dead : t -> int
 (** Number of dead cables (popcount). *)

@@ -207,24 +207,6 @@ let expected_cables_failed_pct t =
     100.0 *. !sum /. float_of_int m
   end
 
-let run_trials ?(sampling = `Exact) t ~trials ~seed ~init ~f =
-  if trials <= 0 then invalid_arg "Plan.run_trials: trials <= 0";
-  Obs.Span.with_ ~name:"plan.run_trials" @@ fun () ->
-  let progress = Obs.Progress.start ~label:"trials" ~total:trials in
-  let master = Rng.create seed in
-  let dead = Deadset.create (Array.length t.death) in
-  let acc = ref init in
-  for _ = 1 to trials do
-    let rng = Rng.split master in
-    (match sampling with
-    | `Exact -> sample_into t rng dead
-    | `Skip -> sample_skip_into t rng dead);
-    acc := f !acc ~rng ~dead;
-    Obs.Progress.tick progress
-  done;
-  Obs.Progress.finish progress;
-  !acc
-
 let par_runs = Obs.Metrics.counter "plan.par_runs"
 
 let run_trials_par ?jobs ?(sampling = `Exact) t ~trials ~seed ~init ~map ~merge =
@@ -237,8 +219,8 @@ let run_trials_par ?jobs ?(sampling = `Exact) t ~trials ~seed ~init ~map ~merge 
   Obs.Metrics.incr par_runs;
   Obs.Span.with_ ~name:"plan.run_trials" @@ fun () ->
   (* Determinism, part 1 — indexed splits: trial [i] draws from
-     [Rng.split_ith master i], the exact stream the sequential engine's
-     i-th [Rng.split master] yields, computed without mutating the
+     [Rng.split_ith master i], the exact stream the i-th consecutive
+     [Rng.split master] yields, computed without mutating the
      master.  No pre-split pass, no array of [trials] generators: a
      worker derives any trial's stream from two integers. *)
   let master = Rng.create seed in
@@ -256,10 +238,10 @@ let run_trials_par ?jobs ?(sampling = `Exact) t ~trials ~seed ~init ~map ~merge 
   let progress = Obs.Progress.start ~label:"trials" ~total:trials in
   Exec.parallel_for ~chunk ~jobs ~n:trials (fun ~lo ~hi ->
       (* One dead buffer per claimed chunk: worker-owned, so [map] sees
-         the same reused-buffer contract as [run_trials]'s [f].  Counter
-         updates are batched per chunk — the sequential engine pays one
-         counted draw per split plus [m] per exact sample, so credit
-         exactly that many raw draws here to keep totals identical. *)
+         the same reused-buffer contract on every job count.  Counter
+         updates are batched per chunk — a counted [Rng.split] loop pays
+         one draw per split plus [m] per exact sample, so credit exactly
+         that many raw draws here to keep totals identical. *)
       let dead = Deadset.create m in
       let draws = ref 0 in
       let run_one i =

@@ -19,23 +19,24 @@
     Draw-order contract: {!sample} performs exactly one Bernoulli draw
     per cable, in cable-index order — byte-identical to the historical
     [Failure_model.compile]-per-consumer loops, so seeds reproduce the
-    published numbers unchanged.  {!run_trials} reproduces the historical
-    master-RNG pattern: [Rng.create seed], then one [Rng.split] per trial.
-    The opt-in [`Skip] sampling mode (geometric skip-sampling for the
+    published numbers unchanged.  {!run_trials_par} reproduces the
+    historical master-RNG pattern: trial [i] draws from the stream the
+    i-th [Rng.split] of [Rng.create seed] yields, on any job count.  The
+    opt-in [`Skip] sampling mode (geometric skip-sampling for the
     sparse-failure regime) draws in a different order by design and is
     pinned by its own golden hashes.
 
     Observability: compiles and trials are counted on the [plan.compiles]
-    and [plan.trials] metrics ([plan.par_runs] counts {!run_trials_par}
+    and [plan.trials] metrics ([plan.par_runs] counts trial-driver
     invocations), and compilation runs under a ["plan.compile"] span (all
     off-by-default, see DESIGN.md).  Hot loops draw through the
     uncounted {!Rng.Raw} stream and settle [rng.draws] in batched
-    {!Rng.note_draws} calls — per trial sequentially, per work-stealing
-    chunk in the parallel driver — so counter totals stay exactly equal
-    across job counts without a sharded-atomic hit per draw.  Both trial
-    drivers feed the live progress meter ({!Obs.Progress}, batched per
-    chunk in the parallel driver), rendered on stderr under the
-    [--progress] CLI flag and costing one branch per batch otherwise. *)
+    {!Rng.note_draws} calls, one per work-stealing chunk, so counter
+    totals stay exactly equal across job counts without a
+    sharded-atomic hit per draw.  The trial driver feeds the live
+    progress meter ({!Obs.Progress}, batched per chunk), rendered on
+    stderr under the [--progress] CLI flag and costing one branch per
+    batch otherwise. *)
 
 type t
 
@@ -105,27 +106,6 @@ val expected_cables_failed_pct : t -> float
     probabilities, in percent.  Matches the historical
     [Montecarlo.expected_cables_failed_pct] bit-for-bit. *)
 
-val run_trials :
-  ?sampling:[ `Exact | `Skip ] ->
-  t ->
-  trials:int ->
-  seed:int ->
-  init:'acc ->
-  f:('acc -> rng:Rng.t -> dead:Deadset.t -> 'acc) ->
-  'acc
-(** The shared trial driver: fold [f] over [trials] independent storm
-    trials.  Reproduces the historical pattern exactly — a master
-    generator [Rng.create seed] split once per trial; [dead] is sampled
-    before [f] runs, so [f] may keep drawing from [rng] for its own
-    per-trial randomness (grid outages, repair jitter, ...).
-
-    [sampling] (default [`Exact]) selects the per-trial sampler:
-    [`Exact] is {!sample_into} (the byte-stable historical stream),
-    [`Skip] is {!sample_skip_into}.
-
-    [dead] is a single buffer reused across trials: copy it if it must
-    outlive the callback.  @raise Invalid_argument if [trials <= 0]. *)
-
 val run_trials_par :
   ?jobs:int ->
   ?sampling:[ `Exact | `Skip ] ->
@@ -136,15 +116,23 @@ val run_trials_par :
   map:(rng:Rng.t -> dead:Deadset.t -> 'a) ->
   merge:('acc -> 'a -> 'acc) ->
   'acc
-(** Domain-parallel {!run_trials}, deterministic by construction: for the
-    same [seed] and [sampling], [~jobs:1] and [~jobs:n] produce
-    byte-identical results — and both match what {!run_trials} computes
-    with [f acc ~rng ~dead = merge acc (map ~rng ~dead)].
+(** The one trial driver: fold [merge] over the [map] outcomes of
+    [trials] independent storm trials, in trial order.  [dead] is
+    sampled before [map] runs, so [map] may keep drawing from [rng] for
+    its own per-trial randomness (grid outages, repair jitter, ...).
+
+    [sampling] (default [`Exact]) selects the per-trial sampler:
+    [`Exact] is {!sample_into} (the byte-stable historical stream),
+    [`Skip] is {!sample_skip_into}.
+
+    Deterministic by construction: for the same [seed] and [sampling],
+    [~jobs:1] and [~jobs:n] produce byte-identical results, equal to a
+    sequential fold that splits [Rng.create seed] once per trial.
 
     How the determinism is kept (see DESIGN.md §6):
     - {e indexed splits} — trial [i] draws from [Rng.split_ith master i],
       a pure function of the seed and the trial index equal to the
-      stream the sequential engine's i-th [Rng.split] yields: the
+      stream the i-th consecutive [Rng.split] yields: the
       historical draw order, so seeds keep reproducing the published
       numbers, and no pre-split array of [trials] generators is built;
     - {e ordered merge} — each work-stealing chunk accumulates its [map]
@@ -159,8 +147,6 @@ val run_trials_par :
     mutable state — [Obs] metrics are fine (atomic), [Obs.Span] records
     into a per-domain ring (worker spans show up in profiles with their
     domain id), and [dead] is a worker-owned buffer valid only for the
-    duration of the call (copy it to keep it).  [map] may keep drawing
-    from [rng] for its own per-trial randomness, exactly like [f] in
-    {!run_trials}.
+    duration of the call (copy it to keep it).
 
     @raise Invalid_argument if [trials <= 0] or [jobs <= 0]. *)

@@ -118,23 +118,16 @@ let simulate ?(trials = 30) ?(seed = 31) ?(backup_days = 3.0) ?(spacing_km = 150
   let node_region =
     Array.init n (fun i -> region_of_node (Infra.Network.node network i))
   in
-  let cables_acc = ref 0.0 in
-  let cable_dark = ref 0.0 and grid_dark = ref 0.0 and dark = ref 0.0 in
-  let region_down_count = Hashtbl.create 16 in
-  Plan.run_trials p ~trials ~seed ~init:() ~f:(fun () ~rng ~dead ->
-    cables_acc := !cables_acc +. Montecarlo.cables_failed_pct network dead;
-    (* Grid outcomes for this trial. *)
+  (* One trial's outcome: cable-failed %, the three dark-node
+     percentages, and the regions whose grid stayed down past backup. *)
+  let trial ~rng ~dead =
     let grid_out = Hashtbl.create 16 in
     List.iter
       (fun reg ->
         let p = failure_probability reg ~dst_nt in
         if Rng.bernoulli rng ~p then begin
           let days = outage_days rng reg ~dst_nt in
-          if days > backup_days then begin
-            Hashtbl.replace grid_out reg.name ();
-            Hashtbl.replace region_down_count reg.name
-              (1 + Option.value ~default:0 (Hashtbl.find_opt region_down_count reg.name))
-          end
+          if days > backup_days then Hashtbl.replace grid_out reg.name ()
         end)
       world_regions;
     (* Node darkness. *)
@@ -163,13 +156,27 @@ let simulate ?(trials = 30) ?(seed = 31) ?(backup_days = 3.0) ?(spacing_km = 150
       end
     done;
     let pct x = 100.0 *. float_of_int x /. float_of_int (Int.max 1 !total) in
-    cable_dark := !cable_dark +. pct !cdark;
-    grid_dark := !grid_dark +. pct !gdark;
-    dark := !dark +. pct !either);
+    ( Montecarlo.cables_failed_pct network dead,
+      pct !cdark,
+      pct !gdark,
+      pct !either,
+      Hashtbl.fold (fun name () acc -> name :: acc) grid_out [] )
+  in
+  let region_down_count = Hashtbl.create 16 in
+  let cables_acc, cable_dark, grid_dark, dark =
+    Plan.run_trials_par p ~trials ~seed ~init:(0.0, 0.0, 0.0, 0.0) ~map:trial
+      ~merge:(fun (ca, cd, gd, d) (c, cdark, gdark, either, down) ->
+        List.iter
+          (fun name ->
+            Hashtbl.replace region_down_count name
+              (1 + Option.value ~default:0 (Hashtbl.find_opt region_down_count name)))
+          down;
+        (ca +. c, cd +. cdark, gd +. gdark, d +. either))
+  in
   let t = float_of_int trials in
-  let cable_dark = !cable_dark /. t and grid_dark = !grid_dark /. t and dark = !dark /. t in
+  let cable_dark = cable_dark /. t and grid_dark = grid_dark /. t and dark = dark /. t in
   {
-    cables_failed_pct = !cables_acc /. t;
+    cables_failed_pct = cables_acc /. t;
     nodes_cable_dark_pct = cable_dark;
     nodes_grid_dark_pct = grid_dark;
     nodes_dark_pct = dark;

@@ -34,9 +34,6 @@ val abs_lat : t -> float
 (** [abs_lat c] is [|lat c|]: the paper's analyses treat north and south
     symmetrically. *)
 
-val northern : t -> bool
-(** [northern c] is [lat c >= 0.]. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints as e.g. ["40.71N 74.01W"]. *)
 

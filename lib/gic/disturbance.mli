@@ -16,8 +16,6 @@ type storm = {
 val storm_of_dst : ?period_s:float -> float -> storm
 (** @raise Invalid_argument if [dst > 0.] or [period_s <= 0.]. *)
 
-val storm_of_cme : Spaceweather.Cme.t -> storm
-
 val auroral_boundary_deg : storm -> float
 (** Equatorward edge (geomagnetic degrees) of the strongly disturbed
     region.  ≈ 62° for an intense (−100 nT) storm, ≈ 40° for 1989-class,

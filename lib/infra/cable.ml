@@ -9,8 +9,6 @@ type t = {
   max_abs_lat : float;
 }
 
-let kind_to_string = function Submarine -> "submarine" | Land_fiber -> "land"
-
 let chain_length landings =
   Geo.Distance.path_length_km (List.map snd landings)
 

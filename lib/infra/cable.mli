@@ -17,8 +17,6 @@ type t = {
   max_abs_lat : float;  (** highest |latitude| over the landings *)
 }
 
-val kind_to_string : kind -> string
-
 val make :
   id:int ->
   name:string ->

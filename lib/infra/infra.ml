@@ -1,8 +1,7 @@
 (** Physical Internet-infrastructure substrate (§3.2): cables, repeaters,
-    power feeding, grounding, whole networks and their GIC exposure. *)
+    grounding, whole networks and their GIC exposure. *)
 
 module Repeater = Repeater
-module Power_feed = Power_feed
 module Cable = Cable
 module Grounding = Grounding
 module Network = Network

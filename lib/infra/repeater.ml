@@ -27,7 +27,4 @@ let count_for_length ~spacing_km ~length_km =
     let n = int_of_float (Float.ceil (length_km /. spacing_km)) - 1 in
     Int.max 0 n
 
-let positions_for_path ~spacing_km path =
-  Geo.Geodesic.positions_along path ~spacing_km
-
 let damaged_by spec ~gic_a = Float.abs gic_a > spec.damage_current_a

@@ -25,9 +25,6 @@ val count_for_length : spacing_km:float -> length_km:float -> int
     (matching the paper: 82/441 submarine cables need none at 150 km).
     @raise Invalid_argument on non-positive spacing or negative length. *)
 
-val positions_for_path : spacing_km:float -> Geo.Coord.t list -> (float * Geo.Coord.t) list
-(** Chainage and location of each repeater along a concrete path. *)
-
 val damaged_by : spec -> gic_a:float -> bool
 (** Whether a quasi-DC current of [gic_a] amperes exceeds the damage
     threshold. *)

@@ -8,7 +8,3 @@ let fake ?(start = 0L) ?(step = 1_000L) () =
     let v = !now in
     now := Int64.add v step;
     v
-
-let manual ?(start = 0L) () =
-  let now = ref start in
-  ((fun () -> !now), fun ns -> now := Int64.add !now ns)

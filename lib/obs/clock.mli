@@ -15,7 +15,3 @@ val monotonic : t
 val fake : ?start:int64 -> ?step:int64 -> unit -> t
 (** [fake ()] ticks deterministically: each call returns the previous
     value advanced by [step] (default 1000 ns, starting at [start]). *)
-
-val manual : ?start:int64 -> unit -> t * (int64 -> unit)
-(** A clock that only moves when the returned [advance] function is
-    called — for tests that need exact control over elapsed time. *)

@@ -22,7 +22,6 @@ val level_to_string : level -> string
 
 val enable : unit -> unit
 val disable : unit -> unit
-val enabled : unit -> bool
 
 val set_level : level -> unit
 (** Minimum level that is emitted (default [Debug] — everything). *)

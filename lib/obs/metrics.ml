@@ -21,10 +21,8 @@ type histogram = {
   h_count : int Atomic.t;
 }
 
-type value =
-  | Counter of int
-  | Gauge of float
-  | Histogram of { bounds : float array; counts : int array; sum : float; count : int }
+type histogram_state = { bounds : float array; counts : int array; sum : float; count : int }
+type value = Counter of int | Gauge of float | Histogram of histogram_state
 
 type snapshot = (string * value) list
 
@@ -174,17 +172,18 @@ let quantile ~bounds ~counts q =
       Some (lower +. (width *. inside))
   end
 
+let histogram_value h =
+  {
+    bounds = Array.copy h.h_bounds;
+    counts = Array.map Atomic.get h.h_counts;
+    sum = Atomic.get h.h_sum;
+    count = Atomic.get h.h_count;
+  }
+
 let value_of = function
   | C c -> Counter (counter_value c)
   | G g -> Gauge (gauge_value g)
-  | H h ->
-      Histogram
-        {
-          bounds = Array.copy h.h_bounds;
-          counts = Array.map Atomic.get h.h_counts;
-          sum = Atomic.get h.h_sum;
-          count = Atomic.get h.h_count;
-        }
+  | H h -> Histogram (histogram_value h)
 
 let snapshot () =
   with_registry (fun () ->

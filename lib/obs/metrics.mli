@@ -22,12 +22,11 @@ type counter
 type gauge
 type histogram
 
-type value =
-  | Counter of int
-  | Gauge of float
-  | Histogram of { bounds : float array; counts : int array; sum : float; count : int }
-      (** [counts] has one slot per bound (value <= bound, first match
-          wins) plus a final overflow slot. *)
+type histogram_state = { bounds : float array; counts : int array; sum : float; count : int }
+(** [counts] has one slot per bound (value <= bound, first match wins)
+    plus a final overflow slot. *)
+
+type value = Counter of int | Gauge of float | Histogram of histogram_state
 
 type snapshot = (string * value) list
 (** Sorted by metric name. *)
@@ -64,6 +63,10 @@ val counter_value : counter -> int
 
 val gauge_value : gauge -> float
 (** A gauge's current value, read through its handle. *)
+
+val histogram_value : histogram -> histogram_state
+(** A histogram's current buckets, sum and count, read through its
+    handle. *)
 
 val snapshot : unit -> snapshot
 

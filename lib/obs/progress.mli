@@ -4,12 +4,12 @@
     of the metrics/span layer, off by default, and a single branch per
     {!tick} while disabled — trial loops call {!tick} unconditionally.
 
-    Runs are handles: {!Plan.run_trials} / {!Plan.run_trials_par} call
-    [start ~label ~total], thread the returned {!run} to whichever
-    domains complete work, tick it per finished batch, and [finish] it.
-    Because a run is not process state, concurrent drivers (e.g. two
-    server worker domains each running a plan) own independent meters
-    and cannot clobber each other.  Rendering — ["label done/total
+    Runs are handles: the trial driver ([Plan.run_trials_par]) calls
+    [start ~label ~total], threads the returned {!run} to whichever
+    domains complete work, ticks it per finished batch, and [finish]es
+    it.  Because a run is not process state, concurrent drivers (e.g.
+    two server worker domains each running a plan) own independent
+    meters and cannot clobber each other.  Rendering — ["label done/total
     (pct)  rate trials/s  ETA s"], carriage-return style — goes to the
     sink (stderr by default) at most once per interval; a CAS on the
     run's last-render timestamp keeps concurrent domains from painting
@@ -18,8 +18,6 @@
 val enable : unit -> unit
 
 val disable : unit -> unit
-
-val enabled : unit -> bool
 
 type run
 (** A live meter for one driver invocation.  Safe to tick from any

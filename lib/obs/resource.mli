@@ -13,6 +13,12 @@
     spans; exporters call {!sample} once more right before snapshotting
     so the gauges describe the finished run. *)
 
+val heap_words : Metrics.gauge
+val minor_collections : Metrics.gauge
+val major_collections : Metrics.gauge
+val compactions : Metrics.gauge
+(** Handles read directly by the server's [/statusz]. *)
+
 val sample : unit -> unit
 (** Refresh every gauge from [Gc.quick_stat] and the monotonic clock.
     A no-op while the obs layer is disabled. *)

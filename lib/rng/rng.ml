@@ -79,8 +79,6 @@ let split_ith t i =
   if i < 0 then invalid_arg "Rng.split_ith: i < 0";
   { state = mix (Int64.add t.state (Int64.mul (Int64.of_int (i + 1)) golden_gamma)) }
 
-let copy t = { state = t.state }
-
 let next_float53 t =
   (* 53 random bits into [0, 1). *)
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
@@ -98,8 +96,6 @@ let int_in t lo hi =
 let float t bound = next_float53 t *. bound
 
 let uniform t lo hi = lo +. (next_float53 t *. (hi -. lo))
-
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let bernoulli t ~p =
   let p = Float.max 0.0 (Float.min 1.0 p) in

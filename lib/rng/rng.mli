@@ -54,8 +54,6 @@ module Raw : sig
       unboxed locals, so the sweep itself allocates nothing. *)
 end
 
-val copy : t -> t
-
 val int : t -> int -> int
 (** [int t bound] in [[0, bound)].  @raise Invalid_argument if
     [bound <= 0]. *)
@@ -69,8 +67,6 @@ val float : t -> float -> float
 
 val uniform : t -> float -> float -> float
 (** [uniform t lo hi] uniform in [[lo, hi)]. *)
-
-val bool : t -> bool
 
 val bernoulli : t -> p:float -> bool
 (** True with probability [p] (clamped to [[0, 1]]). *)

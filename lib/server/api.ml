@@ -230,9 +230,9 @@ let countries_key p =
 
 (* --- process-wide caches --- *)
 
-let hits = Obs.Metrics.counter "server.cache.hits"
-let misses = Obs.Metrics.counter "server.cache.misses"
-let evictions = Obs.Metrics.counter "server.cache.evictions"
+let cache_hits = Obs.Metrics.counter "server.cache.hits"
+let cache_misses = Obs.Metrics.counter "server.cache.misses"
+let cache_evictions = Obs.Metrics.counter "server.cache.evictions"
 let entries_gauge = Obs.Metrics.gauge "server.cache.entries"
 let plan_reuses = Obs.Metrics.counter "server.plan.reuses"
 
@@ -251,8 +251,6 @@ let set_cache_capacity ?shards n =
 let cache_length () = Lru.Sharded.length !result_cache
 
 let cache_capacity () = Lru.Sharded.capacity !result_cache
-
-let cache_shards () = Lru.Sharded.shard_count !result_cache
 
 (* The outcome of the most recent [with_cache] call, for the service's
    access log.  Domain-local: each worker domain serves one request at
@@ -298,17 +296,17 @@ let with_cache ~key compute =
   let outcome = Domain.DLS.get outcome_key in
   match Lru.Sharded.find !result_cache key with
   | Some body ->
-      Obs.Metrics.incr hits;
+      Obs.Metrics.incr cache_hits;
       outcome := Some `Hit;
       Ok body
   | None -> (
-      Obs.Metrics.incr misses;
+      Obs.Metrics.incr cache_misses;
       outcome := Some `Miss;
       match compute () with
       | Error _ as e -> e
       | Ok body ->
           (match Lru.Sharded.add !result_cache key body with
-          | Some _ -> Obs.Metrics.incr evictions
+          | Some _ -> Obs.Metrics.incr cache_evictions
           | None -> ());
           sync_entries ();
           Ok body)

@@ -124,11 +124,15 @@ val set_cache_capacity : ?shards:int -> int -> unit
     the swap itself is not synchronized.
     @raise Invalid_argument if the capacity is negative. *)
 
+val cache_hits : Obs.Metrics.counter
+val cache_misses : Obs.Metrics.counter
+val cache_evictions : Obs.Metrics.counter
+(** The [server.cache.hits], [.misses] and [.evictions] handles
+    {!with_cache} bumps, read directly by [/statusz]. *)
+
 val cache_length : unit -> int
 
 val cache_capacity : unit -> int
-
-val cache_shards : unit -> int
 
 val reset : unit -> unit
 (** Drop the result cache and the compiled-plan memo (tests). *)

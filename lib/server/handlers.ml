@@ -8,34 +8,36 @@ let version = "1.0.0"
    close enough to exec time and needs no plumbing through Service. *)
 let started_ns = Obs.Clock.monotonic ()
 
+(* Served-sweep counters, distinct from the engine's own [sweep.*]
+   family: these count only what went over HTTP, so [solarstorm top]
+   can show sweep throughput next to the request metrics. *)
+let sw_cells = Obs.Metrics.counter "server.sweep.cells"
+let sw_rows = Obs.Metrics.counter "server.sweep.rows_streamed"
+let sw_plans = Obs.Metrics.counter "server.sweep.plans_compiled"
+
+(* Every figure is read through the handle of the module that bumps it:
+   no registry snapshot, no lookup by name. *)
 let statusz _req =
   Obs.Resource.sample ();
-  let snap = Obs.Metrics.snapshot () in
-  let counter name =
-    match List.assoc_opt name snap with Some (Obs.Metrics.Counter n) -> n | _ -> 0
-  in
-  let gauge name =
-    match List.assoc_opt name snap with Some (Obs.Metrics.Gauge v) -> v | _ -> 0.0
-  in
   let open Obs.Json in
   let int n = Number (float_of_int n) in
+  let counter c = int (Obs.Metrics.counter_value c) in
+  let gauge g = Number (Obs.Metrics.gauge_value g) in
   let latency =
-    match List.assoc_opt "server.request.ms" snap with
-    | Some (Obs.Metrics.Histogram { bounds; counts; sum; count }) ->
-        let q p =
-          match Obs.Metrics.quantile ~bounds ~counts p with
-          | Some v -> Number v
-          | None -> Null
-        in
-        Object
-          [
-            ("count", int count);
-            ("sum_ms", Number sum);
-            ("p50", q 0.5);
-            ("p95", q 0.95);
-            ("p99", q 0.99);
-          ]
-    | _ -> Object [ ("count", int 0); ("p50", Null); ("p95", Null); ("p99", Null) ]
+    let { Obs.Metrics.bounds; counts; sum; count } =
+      Obs.Metrics.histogram_value Monitor.request_ms
+    in
+    let q p =
+      match Obs.Metrics.quantile ~bounds ~counts p with Some v -> Number v | None -> Null
+    in
+    Object
+      [
+        ("count", int count);
+        ("sum_ms", Number sum);
+        ("p50", q 0.5);
+        ("p95", q 0.95);
+        ("p99", q 0.99);
+      ]
   in
   (* One row per serving loop, read through the handles the running
      server registered in {!Monitor}.  The rows' [requests] sum to
@@ -48,8 +50,8 @@ let statusz _req =
            Object
              [
                ("id", int i);
-               ("requests", int (Obs.Metrics.counter_value l.Monitor.requests));
-               ("busy_ms", Number (Obs.Metrics.gauge_value l.Monitor.busy_ms));
+               ("requests", counter l.Monitor.requests);
+               ("busy_ms", gauge l.Monitor.busy_ms);
              ])
   in
   let alerts_summary =
@@ -79,37 +81,37 @@ let statusz _req =
         ( "requests",
           Object
             [
-              ("total", int (counter "server.requests"));
-              ("2xx", int (counter "server.resp.2xx"));
-              ("4xx", int (counter "server.resp.4xx"));
-              ("5xx", int (counter "server.resp.5xx"));
-              ("rejected_busy", int (counter "server.rejected.busy"));
+              ("total", counter Monitor.requests);
+              ("2xx", counter Monitor.resp_2xx);
+              ("4xx", counter Monitor.resp_4xx);
+              ("5xx", counter Monitor.resp_5xx);
+              ("rejected_busy", counter Monitor.rejected_busy);
             ] );
         ("latency_ms", latency);
         ("workers", Array workers);
         ( "sweep",
           Object
             [
-              ("cells", int (counter "server.sweep.cells"));
-              ("rows_streamed", int (counter "server.sweep.rows_streamed"));
-              ("plans_compiled", int (counter "server.sweep.plans_compiled"));
+              ("cells", counter sw_cells);
+              ("rows_streamed", counter sw_rows);
+              ("plans_compiled", counter sw_plans);
             ] );
         ( "cache",
           Object
             [
               ("entries", int (Api.cache_length ()));
               ("capacity", int (Api.cache_capacity ()));
-              ("hits", int (counter "server.cache.hits"));
-              ("misses", int (counter "server.cache.misses"));
-              ("evictions", int (counter "server.cache.evictions"));
+              ("hits", counter Api.cache_hits);
+              ("misses", counter Api.cache_misses);
+              ("evictions", counter Api.cache_evictions);
             ] );
         ( "gc",
           Object
             [
-              ("heap_words", Number (gauge "gc.heap_words"));
-              ("minor_collections", Number (gauge "gc.minor_collections"));
-              ("major_collections", Number (gauge "gc.major_collections"));
-              ("compactions", Number (gauge "gc.compactions"));
+              ("heap_words", gauge Obs.Resource.heap_words);
+              ("minor_collections", gauge Obs.Resource.minor_collections);
+              ("major_collections", gauge Obs.Resource.major_collections);
+              ("compactions", gauge Obs.Resource.compactions);
             ] );
       ]
   in
@@ -357,13 +359,6 @@ let countries =
     ~key:Api.countries_key ~compute:(fun p -> Ok (Api.countries_body p))
 
 (* ---- /sweep: grid in, chunked JSONL out ---- *)
-
-(* Served-sweep counters, distinct from the engine's own [sweep.*]
-   family: these count only what went over HTTP, so [solarstorm top]
-   can show sweep throughput next to the request metrics. *)
-let sw_cells = Obs.Metrics.counter "server.sweep.cells"
-let sw_rows = Obs.Metrics.counter "server.sweep.rows_streamed"
-let sw_plans = Obs.Metrics.counter "server.sweep.plans_compiled"
 
 (* Grid validation happens here, before the reply is chosen, so a bad
    grid is still an ordinary fixed 400; only a valid grid starts a

@@ -1,11 +1,21 @@
 (** Process-global self-monitoring state: the {!Obs.Timeseries} ring and
     {!Obs.Alerts} engine behind [/varz], [/alertz] and [/dashboard], and
-    the serving loops' metric handles behind [/statusz].
+    the serving metric handles behind [/statusz].
 
     Global because handlers are context-free functions, like the metrics
     registry they sample.  {!Service.run} calls {!configure} at startup
     (fresh ring per server run); anything may call {!sample_now} for
     on-demand, sampler-less use. *)
+
+val requests : Obs.Metrics.counter
+val rejected_busy : Obs.Metrics.counter
+val resp_2xx : Obs.Metrics.counter
+val resp_4xx : Obs.Metrics.counter
+val resp_5xx : Obs.Metrics.counter
+val request_ms : Obs.Metrics.histogram
+(** Server-wide handles ([server.requests], [server.rejected.busy],
+    [server.resp.2xx|4xx|5xx], [server.request.ms]), bumped by
+    {!Service.run} and read directly by [/statusz]. *)
 
 type loop = {
   requests : Obs.Metrics.counter;  (** [server.worker.<i>.requests] *)
@@ -42,7 +52,6 @@ val sample_now : unit -> unit
     alert rules.  Called by the service sampler domain each step and by
     one-shot CLI consumers. *)
 
-val timeseries : unit -> Obs.Timeseries.t
 val alerts : unit -> Obs.Alerts.t
 val step_s : unit -> float
 val loops : unit -> loop array

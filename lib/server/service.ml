@@ -85,26 +85,13 @@ let trace_seed = function
         (Int64.of_float (Unix.gettimeofday () *. 1e6))
         (Int64.of_int (Unix.getpid ()))
 
-let m_requests = Obs.Metrics.counter "server.requests"
 let m_accepted = Obs.Metrics.counter "server.conns.accepted"
-let m_busy = Obs.Metrics.counter "server.rejected.busy"
-let m_2xx = Obs.Metrics.counter "server.resp.2xx"
-let m_4xx = Obs.Metrics.counter "server.resp.4xx"
-let m_5xx = Obs.Metrics.counter "server.resp.5xx"
 let g_pending = Obs.Metrics.gauge "server.pending"
 let g_workers = Obs.Metrics.gauge "server.workers"
 
-(* Sub-millisecond buckets matter here: cached hits answer in tens of
-   microseconds, and with 1.0 as the lowest bound nearly every request
-   landed in one bucket, flattening the interpolated p50/p95 into
-   noise. *)
-let h_request_ms =
-  Obs.Metrics.histogram "server.request.ms"
-    ~buckets:[| 0.05; 0.25; 0.5; 1.0; 5.0; 25.0; 100.0; 500.0; 2000.0; 10000.0 |]
-
 let count_status status =
   Obs.Metrics.incr
-    (if status >= 500 then m_5xx else if status >= 400 then m_4xx else m_2xx)
+    Monitor.(if status >= 500 then resp_5xx else if status >= 400 then resp_4xx else resp_2xx)
 
 let stop_flag = Atomic.make false
 let stop () = Atomic.set stop_flag true
@@ -165,14 +152,14 @@ let serve_one ~routes ~limits ~force_close ~trace ~loop_requests c =
       ignore (send_response c.fd ~close:true resp);
       `Close
   | Ok req -> (
-      Obs.Metrics.incr m_requests;
+      Obs.Metrics.incr Monitor.requests;
       Obs.Metrics.incr loop_requests;
       Obs.Span.with_ ~name:"server.request" @@ fun () ->
       let t0 = Obs.Span.now () in
       match Router.dispatch ~routes req with
       | Router.Response resp ->
           let dur_ms = Int64.to_float (Int64.sub (Obs.Span.now ()) t0) /. 1e6 in
-          Obs.Metrics.observe h_request_ms dur_ms;
+          Obs.Metrics.observe Monitor.request_ms dur_ms;
           (* Echo the id so a slow response can be chased into the trace
              ([--profile]) and the access log without any server-side
              lookup. *)
@@ -216,7 +203,7 @@ let serve_one ~routes ~limits ~force_close ~trace ~loop_requests c =
           | Exit -> ()
           | _exn -> ok := false);
           let dur_ms = Int64.to_float (Int64.sub (Obs.Span.now ()) t0) /. 1e6 in
-          Obs.Metrics.observe h_request_ms dur_ms;
+          Obs.Metrics.observe Monitor.request_ms dur_ms;
           access_log ~meth:(meth_string req.Http.meth) ~path:(Http.path req)
             ~status:s.Router.s_status ~bytes:!bytes ~dur_ms
             ~cache:(Api.take_cache_outcome ());
@@ -301,7 +288,7 @@ let next_trace_id lp =
   Printf.sprintf "%016Lx" (mix64 lp.trace_state)
 
 let reject fd =
-  Obs.Metrics.incr m_busy;
+  Obs.Metrics.incr Monitor.rejected_busy;
   ignore (send_response fd ~close:true busy_response);
   close_quietly fd
 
@@ -313,7 +300,7 @@ let accept_one sh lp =
   match Unix.accept ~cloexec:true sh.lsock with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE | Unix.ECONNABORTED), _, _) ->
-      Obs.Metrics.incr m_busy;
+      Obs.Metrics.incr Monitor.rejected_busy;
       lp.accept_after <- Unix.gettimeofday () +. sh.cfg.idle_poll_s
   | fd, _addr ->
       (* Nagle + the peer's delayed ACK can park a small pipelined

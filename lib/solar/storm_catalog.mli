@@ -26,5 +26,3 @@ val find : string -> event option
 (** Case-insensitive lookup by name substring. *)
 
 val severity : event -> Dst.severity
-
-val pp_event : Format.formatter -> event -> unit

@@ -24,13 +24,10 @@ val add_edge : t -> id:int -> node -> node -> t
 val remove_edge : t -> int -> t
 (** Remove an edge by id; no-op when absent.  Endpoints stay. *)
 
-val remove_edges : t -> int list -> t
-
 val remove_node : t -> node -> t
 (** Removes the node and all incident edges; no-op when absent. *)
 
 val mem_node : t -> node -> bool
-val mem_edge : t -> int -> bool
 val find_edge : t -> int -> edge option
 
 val nodes : t -> node list

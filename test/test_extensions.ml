@@ -72,6 +72,36 @@ let test_coupled_simulation_mild_storm () =
     (not (List.mem "Southeast Asia" r.Powergrid.regions_down));
   Alcotest.(check bool) "little darkness" true (r.Powergrid.nodes_dark_pct < 30.0)
 
+(* The grid-coupling figure's call, pinned field for field (floats as
+   %h) from the sequential driver it ran on before; the parallel driver
+   must reproduce it at every job count. *)
+let test_coupled_simulation_golden () =
+  let net = Lazy.force submarine in
+  let run jobs =
+    Exec.set_default_jobs jobs;
+    Fun.protect ~finally:(fun () -> Exec.set_default_jobs 1) @@ fun () ->
+    Powergrid.simulate ~trials:10 ~network:net ~model:Failure_model.s1 ~dst_nt:(-1200.0) ()
+  in
+  List.iter
+    (fun jobs ->
+      let r = run jobs in
+      let hex name expected actual =
+        Alcotest.(check string) (Printf.sprintf "jobs=%d %s" jobs name) expected
+          (Printf.sprintf "%h" actual)
+      in
+      hex "cables_failed_pct" "0x1.e15c9882b9312p+4" r.Powergrid.cables_failed_pct;
+      hex "nodes_cable_dark_pct" "0x1.8a64412fa6e28p+4" r.Powergrid.nodes_cable_dark_pct;
+      hex "nodes_grid_dark_pct" "0x1.13f892e00699ep+6" r.Powergrid.nodes_grid_dark_pct;
+      hex "nodes_dark_pct" "0x1.27472b1d16129p+6" r.Powergrid.nodes_dark_pct;
+      hex "amplification" "0x1.7f549ba8a1597p+1" r.Powergrid.amplification;
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d regions_down" jobs)
+        [ "Canada"; "Central America"; "Continental Europe"; "ERCOT-Texas"; "East Asia";
+          "Middle East"; "Nordic"; "Oceania"; "Russia-CIS"; "UK-Ireland"; "US-Eastern";
+          "US-Western" ]
+        r.Powergrid.regions_down)
+    [ 1; 2; 4 ]
+
 (* --- Traffic --- *)
 
 let test_gravity_demands_normalized () =
@@ -309,36 +339,6 @@ let test_segment_less_pessimistic () =
   Alcotest.(check bool) "hops fail less often than cables" true
     (c.Segment_model.segment_level_segments_pct < c.Segment_model.cable_level_cables_pct)
 
-(* --- Hybrid satellite fallback --- *)
-
-let test_hybrid_carrington () =
-  let net = Lazy.force submarine in
-  let a = Hybrid.assess ~trials:3 ~network:net ~model:Failure_model.s1 ~dst_nt:(-1200.0) () in
-  Alcotest.(check bool) "substantial displaced demand" true
-    (a.Hybrid.undeliverable_demand_pct > 20.0);
-  Alcotest.(check bool) "fleet survives mostly" true (a.Hybrid.fleet_surviving > 3000);
-  (* The headline: a mega-constellation absorbs only a small slice of the
-     displaced intercontinental demand. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "absorbable %.1f%% < 30%%" a.Hybrid.absorbable_pct)
-    true (a.Hybrid.absorbable_pct < 30.0)
-
-let test_hybrid_mild_storm_trivial () =
-  let net = Lazy.force submarine in
-  let a =
-    Hybrid.assess ~trials:3 ~network:net ~model:(Failure_model.uniform 0.0001)
-      ~dst_nt:(-100.0) ()
-  in
-  Alcotest.(check bool) "little displaced" true (a.Hybrid.undeliverable_demand_pct < 10.0);
-  Alcotest.(check bool) "absorbable high or trivial" true (a.Hybrid.absorbable_pct > 10.0)
-
-let test_hybrid_capacity_accounting () =
-  let net = Lazy.force submarine in
-  let a = Hybrid.assess ~trials:2 ~network:net ~model:Failure_model.s2 ~dst_nt:(-600.0) () in
-  check_close 1e-6 "capacity = fleet x per-sat"
-    (float_of_int a.Hybrid.fleet_surviving *. Hybrid.per_satellite_gbps /. 1000.0)
-    a.Hybrid.satellite_capacity_tbps
-
 (* --- Capacity --- *)
 
 let test_cable_capacity_tiers () =
@@ -526,10 +526,6 @@ let () =
         [ Alcotest.test_case "trial shape" `Quick test_segment_trial_shape;
           Alcotest.test_case "p0 boundary" `Quick test_segment_p0_p1;
           Alcotest.test_case "less pessimistic" `Quick test_segment_less_pessimistic ] );
-      ( "hybrid",
-        [ Alcotest.test_case "carrington fallback" `Quick test_hybrid_carrington;
-          Alcotest.test_case "mild storm" `Quick test_hybrid_mild_storm_trivial;
-          Alcotest.test_case "capacity accounting" `Quick test_hybrid_capacity_accounting ] );
       ( "capacity",
         [ Alcotest.test_case "cable tiers" `Quick test_cable_capacity_tiers;
           Alcotest.test_case "network total" `Quick test_network_capacity_positive;
@@ -561,7 +557,8 @@ let () =
           Alcotest.test_case "monotone in storm" `Quick test_grid_failure_monotone_in_storm;
           Alcotest.test_case "outage durations" `Quick test_outage_duration_scales;
           Alcotest.test_case "coupling amplifies" `Quick test_coupled_simulation_amplifies;
-          Alcotest.test_case "mild storm" `Quick test_coupled_simulation_mild_storm ] );
+          Alcotest.test_case "mild storm" `Quick test_coupled_simulation_mild_storm;
+          Alcotest.test_case "coupled golden" `Quick test_coupled_simulation_golden ] );
       ( "traffic",
         [ Alcotest.test_case "demands normalized" `Quick test_gravity_demands_normalized;
           Alcotest.test_case "healthy delivery" `Quick test_healthy_routing_delivers_everything;

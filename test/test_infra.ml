@@ -42,39 +42,6 @@ let test_paper_spacings () =
   Alcotest.(check (list (float 1e-9))) "50/100/150" [ 50.0; 100.0; 150.0 ]
     Infra.Repeater.paper_spacings_km
 
-(* --- Power feed --- *)
-
-let test_power_budget_9000km_anchor () =
-  (* SS 3.2.1: ~11 kV for a 9,000 km cable. *)
-  let b = Infra.Power_feed.budget_for ~length_km:9000.0 () in
-  Alcotest.(check bool)
-    (Printf.sprintf "total %.0f V in [9.5k, 13k]" b.Infra.Power_feed.total_v)
-    true
-    (b.Infra.Power_feed.total_v > 9500.0 && b.Infra.Power_feed.total_v < 13000.0);
-  Alcotest.(check bool) "~130 repeaters" true
-    (b.Infra.Power_feed.repeaters >= 120 && b.Infra.Power_feed.repeaters <= 135)
-
-let test_power_budget_monotone () =
-  let short = Infra.Power_feed.budget_for ~length_km:1000.0 () in
-  let long = Infra.Power_feed.budget_for ~length_km:12000.0 () in
-  Alcotest.(check bool) "longer needs more" true
-    (long.Infra.Power_feed.total_v > short.Infra.Power_feed.total_v)
-
-let test_power_budget_validation () =
-  Alcotest.check_raises "non-positive" (Invalid_argument "Power_feed.budget_for: length <= 0")
-    (fun () -> ignore (Infra.Power_feed.budget_for ~length_km:0.0 ()))
-
-let test_dual_end_feasibility () =
-  let b9000 = Infra.Power_feed.budget_for ~length_km:9000.0 () in
-  Alcotest.(check bool) "9000 km feasible" true (Infra.Power_feed.dual_end_feasible b9000);
-  let b40000 = Infra.Power_feed.budget_for ~length_km:40000.0 () in
-  Alcotest.(check bool) "40000 km infeasible" false (Infra.Power_feed.dual_end_feasible b40000)
-
-let test_max_span () =
-  let span = Infra.Power_feed.max_span_km () in
-  Alcotest.(check bool) (Printf.sprintf "max span %.0f in [15k, 35k]" span) true
-    (span > 15000.0 && span < 35000.0)
-
 (* --- Cable --- *)
 
 let landings_2 = [ (0, coord 40.0 (-74.0)); (1, coord 51.0 0.0) ]
@@ -326,12 +293,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_repeater_count_validation;
           Alcotest.test_case "spec" `Quick test_repeater_spec;
           Alcotest.test_case "paper spacings" `Quick test_paper_spacings ] );
-      ( "power_feed",
-        [ Alcotest.test_case "11 kV anchor" `Quick test_power_budget_9000km_anchor;
-          Alcotest.test_case "monotone" `Quick test_power_budget_monotone;
-          Alcotest.test_case "validation" `Quick test_power_budget_validation;
-          Alcotest.test_case "dual-end feasibility" `Quick test_dual_end_feasibility;
-          Alcotest.test_case "max span" `Quick test_max_span ] );
       ( "cable",
         [ Alcotest.test_case "make defaults" `Quick test_cable_make_defaults;
           Alcotest.test_case "stated length raised" `Quick test_cable_stated_length_raised;

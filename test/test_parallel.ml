@@ -1,12 +1,14 @@
 (* Domain-parallel trial engine suite.
 
    The contract under test: [Plan.run_trials_par] produces byte-identical
-   results to the sequential [Plan.run_trials] fold for ANY job count —
-   trial RNGs are pre-split sequentially from the master and results are
-   merged in trial order, so parallelism never shows in the output.  The
-   suite pins that identity across every failure-model constructor, checks
-   Obs counter totals are exact under domains, and exercises the Exec
-   pool's coverage / shutdown / exception behaviour.
+   results to a plain sequential fold (the test-local [reference_trials])
+   for ANY job count — trial i draws from the i-th split of the master and
+   results are merged in trial order, so parallelism never shows in the
+   output.  The suite pins that identity across every failure-model
+   constructor (and, as a property, over random seeds, trial counts,
+   samplers and job counts), checks Obs counter totals are exact under
+   domains, and exercises the Exec pool's coverage / shutdown / exception
+   behaviour.
 
    The "satellites" section holds the regression tests for the latent-bug
    sweep that rode along with the engine: weighted_choice's trailing
@@ -39,28 +41,40 @@ let models =
     ("carrington-physical", Failure_model.carrington_physical);
   ]
 
-(* --- run_trials_par ≡ run_trials, per model, per job count --- *)
+(* --- run_trials_par ≡ sequential reference, per model, per job count --- *)
+
+(* The independent sequential reference: one [Rng.split] of the master
+   per trial, sampled into one reused buffer, results in trial order. *)
+let reference_trials ?(sampling = `Exact) plan ~trials ~seed f =
+  let master = Rng.create seed in
+  let dead = Deadset.create (Plan.nb_cables plan) in
+  let acc = ref [] in
+  for _ = 1 to trials do
+    let rng = Rng.split master in
+    (match sampling with
+    | `Exact -> Plan.sample_into plan rng dead
+    | `Skip -> Plan.sample_skip_into plan rng dead);
+    acc := f ~rng ~dead :: !acc
+  done;
+  List.rev !acc
+
+let par_hashes ?sampling ~jobs plan ~trials ~seed =
+  List.rev
+    (Plan.run_trials_par ~jobs ?sampling plan ~trials ~seed ~init:[]
+       ~map:(fun ~rng:_ ~dead -> hash_dead dead)
+       ~merge:(fun acc h -> h :: acc))
 
 let test_par_identity (mname, model) () =
   let network = Lazy.force network in
   let plan = Plan.compile ~network ~model () in
   let trials = 7 and seed = 99 in
-  let seq =
-    List.rev
-      (Plan.run_trials plan ~trials ~seed ~init:[] ~f:(fun acc ~rng:_ ~dead ->
-           hash_dead dead :: acc))
-  in
+  let seq = reference_trials plan ~trials ~seed (fun ~rng:_ ~dead -> hash_dead dead) in
   List.iter
     (fun jobs ->
-      let par =
-        List.rev
-          (Plan.run_trials_par ~jobs plan ~trials ~seed ~init:[]
-             ~map:(fun ~rng:_ ~dead -> hash_dead dead)
-             ~merge:(fun acc h -> h :: acc))
-      in
       Alcotest.(check (list int64))
         (Printf.sprintf "%s: jobs=%d dead arrays" mname jobs)
-        seq par)
+        seq
+        (par_hashes ~jobs plan ~trials ~seed))
     [ 1; 2; 4 ];
   (* The full float path — per-trial percentages, mean, stddev — must
      also come out bit-equal: the ordered merge preserves accumulation
@@ -73,6 +87,30 @@ let test_par_identity (mname, model) () =
         (Printf.sprintf "%s: series jobs=%d = jobs=1" mname jobs)
         true (sj = s1))
     [ 2; 4 ]
+
+(* The same identity over random seeds, trial counts, models, samplers
+   and job counts.  Plans are compiled once per model. *)
+let plans =
+  lazy
+    (Array.of_list
+       (List.map (fun (_, model) -> Plan.compile ~network:(Lazy.force network) ~model ()) models))
+
+let prop_par_matches_reference =
+  QCheck.Test.make ~name:"run_trials_par = reference fold" ~count:60
+    QCheck.(
+      make
+        ~print:(fun (seed, trials, m, skip, jobs) ->
+          Printf.sprintf "seed=%d trials=%d model=%s sampling=%s jobs=%d" seed trials
+            (fst (List.nth models m)) (if skip then "skip" else "exact") jobs)
+        Gen.(
+          tup5 (int_bound 1_000_000) (int_range 1 64)
+            (int_bound (List.length models - 1))
+            bool (oneofl [ 1; 2; 4 ])))
+    (fun (seed, trials, m, skip, jobs) ->
+      let plan = (Lazy.force plans).(m) in
+      let sampling = if skip then `Skip else `Exact in
+      reference_trials ~sampling plan ~trials ~seed (fun ~rng:_ ~dead -> hash_dead dead)
+      = par_hashes ~sampling ~jobs plan ~trials ~seed)
 
 (* --- Obs counters are exact (not approximate) under domains --- *)
 
@@ -280,7 +318,9 @@ let () =
   in
   Alcotest.run "parallel"
     [
-      ("par = seq identity", per_model test_par_identity);
+      ( "par = seq identity",
+        per_model test_par_identity
+        @ [ QCheck_alcotest.to_alcotest prop_par_matches_reference ] );
       ( "obs under domains",
         [ Alcotest.test_case "counter totals exact" `Quick test_obs_counters_parallel ] );
       ( "exec pool",

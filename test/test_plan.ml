@@ -19,6 +19,22 @@ let hash_dead dead =
 
 let dead_count dead = Array.fold_left (fun a d -> if d then a + 1 else a) 0 dead
 
+(* The independent sequential reference for [Plan.run_trials_par]: one
+   [Rng.split] of the master per trial, sampled into one reused buffer,
+   results in trial order. *)
+let reference_trials ?(sampling = `Exact) plan ~trials ~seed f =
+  let master = Rng.create seed in
+  let dead = Deadset.create (Plan.nb_cables plan) in
+  let acc = ref [] in
+  for _ = 1 to trials do
+    let rng = Rng.split master in
+    (match sampling with
+    | `Exact -> Plan.sample_into plan rng dead
+    | `Skip -> Plan.sample_skip_into plan rng dead);
+    acc := f ~rng ~dead :: !acc
+  done;
+  List.rev !acc
+
 let check_f name expected actual = Alcotest.(check (float 1e-9)) name expected actual
 
 type golden = {
@@ -174,11 +190,7 @@ let test_skip_par_identity () =
   let plan = Plan.compile ~network ~model:(Failure_model.uniform 0.01) () in
   let trials = 7 and seed = 99 in
   let hash dead = hash_dead (Deadset.to_bool_array dead) in
-  let seq =
-    List.rev
-      (Plan.run_trials ~sampling:`Skip plan ~trials ~seed ~init:[]
-         ~f:(fun acc ~rng:_ ~dead -> hash dead :: acc))
-  in
+  let seq = reference_trials ~sampling:`Skip plan ~trials ~seed (fun ~rng:_ ~dead -> hash dead) in
   List.iter
     (fun jobs ->
       let par =
@@ -196,12 +208,7 @@ let test_compile_validates () =
   let network = Lazy.force network in
   Alcotest.check_raises "spacing <= 0"
     (Invalid_argument "Plan.compile: spacing_km <= 0")
-    (fun () -> ignore (Plan.compile ~spacing_km:0.0 ~network ~model:Failure_model.s1 ()));
-  let plan = Plan.compile ~network ~model:Failure_model.s1 () in
-  Alcotest.check_raises "trials <= 0"
-    (Invalid_argument "Plan.run_trials: trials <= 0")
-    (fun () ->
-      ignore (Plan.run_trials plan ~trials:0 ~seed:1 ~init:() ~f:(fun () ~rng:_ ~dead:_ -> ())))
+    (fun () -> ignore (Plan.compile ~spacing_km:0.0 ~network ~model:Failure_model.s1 ()))
 
 (* --- Recovery.storm_recovery returns the median trial's curve --- *)
 
@@ -214,9 +221,8 @@ let test_recovery_median_series () =
      ourselves (lower median, ties by trial order). *)
   let p = Plan.compile ~network ~model () in
   let tls =
-    List.rev
-      (Plan.run_trials p ~trials ~seed ~init:[] ~f:(fun acc ~rng:_ ~dead ->
-           Recovery.plan ~network ~dead:(Deadset.to_bool_array dead) () :: acc))
+    reference_trials p ~trials ~seed (fun ~rng:_ ~dead ->
+        Recovery.plan ~network ~dead:(Deadset.to_bool_array dead) ())
   in
   let sorted =
     List.sort compare

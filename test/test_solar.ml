@@ -264,86 +264,6 @@ let test_warning_levels_progress () =
   Alcotest.(check bool) "alert just before impact" true
     (Forecast.level_at tl ~hours_after_launch:near = Some Forecast.Alert)
 
-(* --- Flares --- *)
-
-let test_flare_classes_and_flux () =
-  let x1 = Flare.make Flare.X 1.0 in
-  check_close 1e-12 "X1 flux" 1e-4 (Flare.peak_flux_w_m2 x1);
-  let m5 = Flare.make Flare.M 5.0 in
-  check_close 1e-12 "M5 flux" 5e-5 (Flare.peak_flux_w_m2 m5);
-  Alcotest.check_raises "mag < 1" (Invalid_argument "Flare.make: magnitude < 1") (fun () ->
-      ignore (Flare.make Flare.C 0.5));
-  Alcotest.check_raises "rollover"
-    (Invalid_argument "Flare.make: magnitude >= 10 rolls into the next class") (fun () ->
-      ignore (Flare.make Flare.M 12.0))
-
-let test_flare_flux_roundtrip () =
-  List.iter
-    (fun f ->
-      let f' = Flare.of_peak_flux (Flare.peak_flux_w_m2 f) in
-      Alcotest.(check bool) "class preserved" true (f'.Flare.cls = f.Flare.cls);
-      check_close 1e-6 "magnitude preserved" f.Flare.magnitude f'.Flare.magnitude)
-    [ Flare.make Flare.B 3.0; Flare.make Flare.M 5.0; Flare.make Flare.X 9.0;
-      Flare.carrington_flare ]
-
-let test_flare_r_scale_anchors () =
-  Alcotest.(check string) "M1 -> R1" "R1 (minor)"
-    (Flare.r_to_string (Flare.r_scale (Flare.make Flare.M 1.0)));
-  Alcotest.(check string) "X1 -> R3" "R3 (strong)"
-    (Flare.r_to_string (Flare.r_scale (Flare.make Flare.X 1.0)));
-  Alcotest.(check string) "carrington -> R5" "R5 (extreme)"
-    (Flare.r_to_string (Flare.r_scale Flare.carrington_flare));
-  Alcotest.(check string) "C-class -> R0" "R0"
-    (Flare.r_to_string (Flare.r_scale (Flare.make Flare.C 5.0)))
-
-let test_flare_does_not_touch_cables () =
-  (* The paper's point in 2.1. *)
-  Alcotest.(check bool) "no terrestrial effect" false
-    (Flare.affects_terrestrial_cables Flare.carrington_flare)
-
-let test_flare_rates_track_cycle () =
-  Alcotest.(check bool) "maximum busier than minimum" true
-    (Flare.rate_per_day Flare.M ~ssn:200.0 > 5.0 *. Flare.rate_per_day Flare.M ~ssn:5.0);
-  Alcotest.(check bool) "X rarer than M" true
-    (Flare.rate_per_day Flare.X ~ssn:150.0 < Flare.rate_per_day Flare.M ~ssn:150.0);
-  Alcotest.(check bool) "blackout minutes grow" true
-    (Flare.blackout_minutes Flare.carrington_flare
-    > Flare.blackout_minutes (Flare.make Flare.M 2.0))
-
-(* --- NOAA scale --- *)
-
-let test_g_of_kp_boundaries () =
-  let open Noaa_scale in
-  Alcotest.(check string) "kp 4.9" "G0" (g_to_string (g_of_kp 4.9));
-  Alcotest.(check string) "kp 5" "G1 (minor)" (g_to_string (g_of_kp 5.0));
-  Alcotest.(check string) "kp 7.5" "G3 (strong)" (g_to_string (g_of_kp 7.5));
-  Alcotest.(check string) "kp 9" "G5 (extreme)" (g_to_string (g_of_kp 9.0));
-  Alcotest.check_raises "kp 10" (Invalid_argument "Noaa_scale.g_of_kp: Kp outside [0, 9]")
-    (fun () -> ignore (g_of_kp 10.0))
-
-let test_kp_dst_roundtrip () =
-  List.iter
-    (fun kp ->
-      let dst = Noaa_scale.dst_of_kp kp in
-      check_close 0.05 "roundtrip" kp (Noaa_scale.kp_of_dst dst))
-    [ 2.0; 5.0; 7.0; 8.5 ]
-
-let test_g_of_dst_anchors () =
-  let open Noaa_scale in
-  (* Quebec 1989 and Carrington are both announced as G5; moderate storms
-     in the G2-G3 band. *)
-  Alcotest.(check string) "quebec g5" "G5 (extreme)" (g_to_string (g_of_dst (-589.0)));
-  Alcotest.(check string) "carrington g5" "G5 (extreme)" (g_to_string (g_of_dst (-1200.0)));
-  Alcotest.(check bool) "minor storm below G3" true
-    (kp_floor_of_g (g_of_dst (-66.0)) < kp_floor_of_g G3)
-
-let test_effects_nonempty () =
-  List.iter
-    (fun g ->
-      Alcotest.(check bool) "description" true
-        (String.length (Noaa_scale.expected_effects g) > 10))
-    [ Noaa_scale.G0; G1; G2; G3; G4; G5 ]
-
 (* --- Storm catalog --- *)
 
 let test_catalog_chronological () =
@@ -445,17 +365,6 @@ let () =
         [ Alcotest.test_case "lead time" `Quick test_timeline_lead_time;
           Alcotest.test_case "L1 window" `Quick test_l1_confirmation_short;
           Alcotest.test_case "warning levels" `Quick test_warning_levels_progress ] );
-      ( "flare",
-        [ Alcotest.test_case "classes and flux" `Quick test_flare_classes_and_flux;
-          Alcotest.test_case "flux roundtrip" `Quick test_flare_flux_roundtrip;
-          Alcotest.test_case "R-scale anchors" `Quick test_flare_r_scale_anchors;
-          Alcotest.test_case "no cable effect" `Quick test_flare_does_not_touch_cables;
-          Alcotest.test_case "rates track cycle" `Quick test_flare_rates_track_cycle ] );
-      ( "noaa_scale",
-        [ Alcotest.test_case "g of kp" `Quick test_g_of_kp_boundaries;
-          Alcotest.test_case "kp/dst roundtrip" `Quick test_kp_dst_roundtrip;
-          Alcotest.test_case "dst anchors" `Quick test_g_of_dst_anchors;
-          Alcotest.test_case "effects" `Quick test_effects_nonempty ] );
       ( "catalog",
         [ Alcotest.test_case "chronological" `Quick test_catalog_chronological;
           Alcotest.test_case "find" `Quick test_catalog_find;
