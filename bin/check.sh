@@ -150,9 +150,12 @@ rm -f /tmp/simulate_seq.out /tmp/simulate_par.out /tmp/simulate_profiled.out
 echo "== figures output does not depend on --jobs =="
 # Every figure's trials run on the one parallel driver (the grid-coupled
 # trial included), so the whole reproduction must be byte-equal at any
-# job count.
+# job count, and equal to the benchmark's committed reference (read
+# only here).
 dune exec bin/solarstorm.exe -- figures --jobs 1 > /tmp/figures_j1.out
 dune exec bin/solarstorm.exe -- figures --jobs 4 > /tmp/figures_j4.out
+cmp /tmp/figures_j1.out perfbench/figures.ref \
+  || { echo "check.sh: figures --jobs 1 differs from perfbench/figures.ref" >&2; exit 1; }
 cmp /tmp/figures_j1.out /tmp/figures_j4.out \
   || { echo "check.sh: figures --jobs 4 changed the figures" >&2; exit 1; }
 rm -f /tmp/figures_j1.out /tmp/figures_j4.out

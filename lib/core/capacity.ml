@@ -76,8 +76,17 @@ let flow_between net ~dead ~sources ~sinks =
   in
   Netgraph.Flow.max_flow_multi g ~capacity ~sources ~sinks
 
-let analyze_corridor ?(trials = 10) ?(seed = 71) ?(spacing_km = 150.0) ?jobs ~network
-    ~model corridor =
+(* The model-independent half of a corridor analysis: its two shores,
+   healthy flow and min-cut cables. *)
+type shores = {
+  shores_of : corridor;
+  sources : int list;
+  sinks : int list;
+  healthy : float;
+  min_cut : string list;
+}
+
+let shores ~network corridor =
   let sources = group_nodes network corridor.from_countries in
   let sinks =
     (* A node can belong to both shores only through data errors; drop
@@ -87,20 +96,12 @@ let analyze_corridor ?(trials = 10) ?(seed = 71) ?(spacing_km = 150.0) ?jobs ~ne
       (group_nodes network corridor.to_countries)
   in
   if sources = [] || sinks = [] then
-    { corridor; healthy_tbps = 0.0; expected_tbps = 0.0; surviving_pct = 0.0;
-      min_cut_cables = [] }
-  else begin
+    { shores_of = corridor; sources; sinks; healthy = 0.0; min_cut = [] }
+  else
     let healthy = flow_between network ~dead:(fun _ -> false) ~sources ~sinks in
-    let p = Plan.compile ~spacing_km ~network ~model () in
-    let acc =
-      Plan.run_trials_par ?jobs p ~trials ~seed ~init:0.0
-        ~map:(fun ~rng:_ ~dead -> flow_between network ~dead:(Deadset.get dead) ~sources ~sinks)
-        ~merge:( +. )
-    in
-    let expected = acc /. float_of_int trials in
     (* Min-cut cables of the healthy corridor: multi-terminal minimum cut
        between the two shores. *)
-    let min_cut_cables =
+    let min_cut =
       let g, edge_cable = Infra.Network.to_graph network in
       let capacity e =
         let c = edge_cable e in
@@ -110,16 +111,48 @@ let analyze_corridor ?(trials = 10) ?(seed = 71) ?(spacing_km = 150.0) ?jobs ~ne
       |> List.map (fun e -> (Infra.Network.cable network (edge_cable e)).Infra.Cable.name)
       |> List.sort_uniq String.compare
     in
+    { shores_of = corridor; sources; sinks; healthy; min_cut }
+
+let resolved sh = sh.sources <> [] && sh.sinks <> []
+
+let empty_report sh =
+  { corridor = sh.shores_of; healthy_tbps = 0.0; expected_tbps = 0.0; surviving_pct = 0.0;
+    min_cut_cables = [] }
+
+let storm_report ~trials ~seed ?jobs ~network ~plan sh =
+  if not (resolved sh) then empty_report sh
+  else begin
+    let acc =
+      Plan.run_trials_par ?jobs plan ~trials ~seed ~init:0.0
+        ~map:(fun ~rng:_ ~dead ->
+          flow_between network ~dead:(Deadset.get dead) ~sources:sh.sources ~sinks:sh.sinks)
+        ~merge:( +. )
+    in
+    let expected = acc /. float_of_int trials in
     {
-      corridor;
-      healthy_tbps = healthy;
+      corridor = sh.shores_of;
+      healthy_tbps = sh.healthy;
       expected_tbps = expected;
-      surviving_pct = (if healthy <= 0.0 then 0.0 else 100.0 *. expected /. healthy);
-      min_cut_cables;
+      surviving_pct = (if sh.healthy <= 0.0 then 0.0 else 100.0 *. expected /. sh.healthy);
+      min_cut_cables = sh.min_cut;
     }
   end
 
-let standard_report ?trials ?jobs ~network ~model () =
+let analyze_corridor ?(trials = 10) ?(seed = 71) ?(spacing_km = 150.0) ?jobs ~network
+    ~model corridor =
+  let sh = shores ~network corridor in
+  if not (resolved sh) then empty_report sh
+  else
+    storm_report ~trials ~seed ?jobs ~network
+      ~plan:(Plan.compile ~spacing_km ~network ~model ())
+      sh
+
+(* The shores, healthy flows and min cuts do not depend on the model, and
+   the plan does not depend on the corridor: each is computed once. *)
+let standard_report ?(trials = 10) ?jobs ~network ~models () =
+  let all = List.map (shores ~network) [ atlantic; brazil_europe; pacific; asia_europe ] in
   List.map
-    (analyze_corridor ?trials ?jobs ~network ~model)
-    [ atlantic; brazil_europe; pacific; asia_europe ]
+    (fun model ->
+      let plan = Plan.compile ~spacing_km:150.0 ~network ~model () in
+      List.map (storm_report ~trials ~seed:71 ?jobs ~network ~plan) all)
+    models

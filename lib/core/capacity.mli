@@ -52,6 +52,9 @@ val analyze_corridor :
     resolves to no nodes report zeros. *)
 
 val standard_report :
-  ?trials:int -> ?jobs:int -> network:Infra.Network.t -> model:Failure_model.t ->
-  unit -> corridor_report list
-(** The four standard corridors. *)
+  ?trials:int -> ?jobs:int -> network:Infra.Network.t -> models:Failure_model.t list ->
+  unit -> corridor_report list list
+(** The four standard corridors under each model, one list per model in
+    [models] order; each list equals {!analyze_corridor} of the four
+    corridors with that model.  The model-independent healthy flows and
+    min cuts are computed once for all models. *)

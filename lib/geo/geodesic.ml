@@ -55,30 +55,48 @@ let sample_every_km a b ~step_km =
   let n = Int.max 1 (int_of_float (ceil (total /. step_km))) in
   waypoints a b ~n
 
-let point_at_km path d =
-  match path with
-  | [] -> invalid_arg "Geodesic.point_at_km: empty path"
-  | [ p ] -> p
-  | first :: _ ->
-      if d <= 0.0 then first
+type path = { points : Coord.t array; hops : float array }
+
+let compile = function
+  | [] -> invalid_arg "Geodesic.compile: empty path"
+  | pts ->
+      let points = Array.of_list pts in
+      let hops =
+        Array.init (Array.length points - 1) (fun i ->
+            Distance.haversine_km points.(i) points.(i + 1))
+      in
+      { points; hops }
+
+let length p = Array.fold_left ( +. ) 0.0 p.hops
+
+(* The walk subtracts hop after hop from [d], so the fraction handed to
+   [intermediate] is the same float a hop-by-hop walk of the list would
+   give. *)
+let point_at p d =
+  let last = Array.length p.hops in
+  if last = 0 || d <= 0.0 then p.points.(0)
+  else
+    let rec walk remaining i =
+      if i = last then p.points.(last)
       else
-        let rec walk remaining = function
-          | a :: (b :: _ as rest) ->
-              let hop = Distance.haversine_km a b in
-              if remaining <= hop then
-                if hop < 1e-9 then a else intermediate a b (remaining /. hop)
-              else walk (remaining -. hop) rest
-          | [ last ] -> last
-          | [] -> assert false
-        in
-        walk d path
+        let hop = p.hops.(i) in
+        if remaining <= hop then
+          if hop < 1e-9 then p.points.(i)
+          else intermediate p.points.(i) p.points.(i + 1) (remaining /. hop)
+        else walk (remaining -. hop) (i + 1)
+    in
+    walk d 0
+
+let point_at_km path d =
+  if path = [] then invalid_arg "Geodesic.point_at_km: empty path";
+  point_at (compile path) d
 
 let positions_along path ~spacing_km =
   if spacing_km <= 0.0 then invalid_arg "Geodesic.positions_along: spacing <= 0";
   let total = Distance.path_length_km path in
-  let rec collect acc k =
+  let rec collect compiled acc k =
     let d = float_of_int k *. spacing_km in
     if d >= total then List.rev acc
-    else collect ((d, point_at_km path d) :: acc) (k + 1)
+    else collect compiled ((d, point_at compiled d) :: acc) (k + 1)
   in
-  if total <= spacing_km then [] else collect [] 1
+  if total <= spacing_km then [] else collect (compile path) [] 1

@@ -24,6 +24,19 @@ val point_at_km : Coord.t list -> float -> Coord.t
     the interpolated position.  Clamps to the endpoints when [d] is outside
     [[0, length]].  @raise Invalid_argument on an empty path. *)
 
+type path
+(** A polyline with its hop lengths computed once, for walking it many
+    times. *)
+
+val compile : Coord.t list -> path
+(** @raise Invalid_argument on an empty list. *)
+
+val length : path -> float
+(** Equal to {!Distance.path_length_km} of the compiled list. *)
+
+val point_at : path -> float -> Coord.t
+(** [point_at (compile pts) d] is [point_at_km pts d], bit for bit. *)
+
 val positions_along : Coord.t list -> spacing_km:float -> (float * Coord.t) list
 (** [positions_along path ~spacing_km] is the list of (chainage-km, point)
     pairs at [spacing_km], [2 * spacing_km], ... strictly inside the path.

@@ -79,6 +79,15 @@ let impedance_magnitude p ~period_s =
   if period_s <= 0.0 then invalid_arg "Conductivity.impedance_magnitude: period <= 0";
   Complex.norm (surface_impedance p ~angular_freq:(2.0 *. Float.pi /. period_s))
 
+let profile_impedances ~period_s =
+  let table =
+    List.map (fun p -> (p, impedance_magnitude p ~period_s)) [ shield; plains; coastal; ocean ]
+  in
+  fun p ->
+    match List.assq_opt p table with
+    | Some z -> z
+    | None -> impedance_magnitude p ~period_s
+
 (* Surface-layer conductance: the quantity the New Zealand study quotes
    (1-500 S on land vs 100-24,000 S offshore) integrates the top of the
    section — seawater and upper crust — not the deep mantle, so only the

@@ -46,6 +46,12 @@ val surface_impedance : profile -> angular_freq:float -> Complex.t
 val impedance_magnitude : profile -> period_s:float -> float
 (** [|Z|] at the given period, Ω. *)
 
+val profile_impedances : period_s:float -> profile -> float
+(** [profile_impedances ~period_s] computes [|Z|] for the four built-in
+    profiles once; the returned function answers for them from that
+    table and computes any other profile afresh.  Equal to
+    {!impedance_magnitude} bit for bit. *)
+
 val conductance_s : profile -> float
 (** Integrated conductance of the layer stack above the half-space,
     siemens — the quantity quoted in the New Zealand study. *)

@@ -13,6 +13,11 @@ val amplitude_with_profile :
   Disturbance.storm -> Conductivity.profile -> Geo.Coord.t -> float
 (** Same with an explicit conductivity profile. *)
 
+val amplitude_fn : Disturbance.storm -> Geo.Coord.t -> float
+(** [amplitude_fn storm] is {!amplitude_v_per_km} [storm] with the
+    storm period's impedances computed once, for evaluating many
+    locations. *)
+
 val segment_voltage :
   Disturbance.storm -> Geo.Coord.t -> Geo.Coord.t -> float
 (** Expected magnitude of the induced EMF along the great-circle segment

@@ -11,15 +11,15 @@ type result = { sections : section list; peak_gic_a : float; total_emf_v : float
 let default_line_resistance_ohm_km = 0.8
 let default_ground_resistance_ohm = 2.0
 
-let section_emf ~storm ~path ~sample_km ~start_km ~end_km =
+let section_emf ~field ~path ~sample_km ~start_km ~end_km =
   (* Integrate |E| * projection over [start, end] in steps of sample_km
      using mid-point field amplitudes. *)
   let rec go acc d =
     if d >= end_km then acc
     else
       let d' = Float.min end_km (d +. sample_km) in
-      let mid = Geo.Geodesic.point_at_km path ((d +. d') /. 2.0) in
-      let e = Efield.amplitude_v_per_km storm mid in
+      let mid = Geo.Geodesic.point_at path ((d +. d') /. 2.0) in
+      let e = field mid in
       go (acc +. (e *. (d' -. d) *. Efield.projection_factor_mean)) d'
   in
   go 0.0 start_km
@@ -30,7 +30,9 @@ let compute ?(line_resistance_ohm_km = default_line_resistance_ohm_km)
   if path = [] then invalid_arg "Induced.compute: empty path";
   if line_resistance_ohm_km <= 0.0 || ground_resistance_ohm < 0.0 || sample_km <= 0.0
   then invalid_arg "Induced.compute: non-positive parameter";
-  let total = Geo.Distance.path_length_km path in
+  let path = Geo.Geodesic.compile path in
+  let field = Efield.amplitude_fn storm in
+  let total = Geo.Geodesic.length path in
   let grounds =
     List.sort_uniq Float.compare
       (0.0 :: total
@@ -46,7 +48,7 @@ let compute ?(line_resistance_ohm_km = default_line_resistance_ohm_km)
         let len = b -. a in
         if len <= 1e-6 then None
         else
-          let emf = section_emf ~storm ~path ~sample_km ~start_km:a ~end_km:b in
+          let emf = section_emf ~field ~path ~sample_km ~start_km:a ~end_km:b in
           let r = (line_resistance_ohm_km *. len) +. (2.0 *. ground_resistance_ohm) in
           Some { start_km = a; end_km = b; emf_v = emf; resistance_ohm = r; gic_a = emf /. r })
       (pairs grounds)

@@ -11,9 +11,9 @@ let path_of_cable ~network (c : Cable.t) =
   let coords = List.map (Network.node_coord network) c.Cable.landings in
   let rec expand = function
     | a :: (b :: _ as rest) ->
-        let pts = Geo.Geodesic.sample_every_km a b ~step_km:250.0 in
         (* Drop b; the next hop re-adds it. *)
-        List.filteri (fun i _ -> i < List.length pts - 1) pts @ expand rest
+        let rec drop_last = function [] | [ _ ] -> [] | p :: ps -> p :: drop_last ps in
+        drop_last (Geo.Geodesic.sample_every_km a b ~step_km:250.0) @ expand rest
     | [ last ] -> [ last ]
     | [] -> []
   in

@@ -167,17 +167,20 @@ let sweep_figure ~title ~value points =
          ^ Table.render ~header:[ "network"; "p"; "mean%"; "std" ] rows)
        spacings)
 
-let fig6 ?(trials = 10) ctx =
-  let points = Stormsim.Resilience.fig6_7 ~trials ~networks:(networks ctx) () in
+let fig6_7_points ~trials ctx = Stormsim.Resilience.fig6_7 ~trials ~networks:(networks ctx) ()
+
+let fig6_of points =
   sweep_figure ~title:"Figure 6: cables failed (%) under uniform repeater failure"
     ~value:(fun s -> s.Stormsim.Montecarlo.cables_mean)
     points
 
-let fig7 ?(trials = 10) ctx =
-  let points = Stormsim.Resilience.fig6_7 ~trials ~networks:(networks ctx) () in
+let fig7_of points =
   sweep_figure ~title:"Figure 7: nodes unreachable (%) under uniform repeater failure"
     ~value:(fun s -> s.Stormsim.Montecarlo.nodes_mean)
     points
+
+let fig6 ?(trials = 10) ctx = fig6_of (fig6_7_points ~trials ctx)
+let fig7 ?(trials = 10) ctx = fig7_of (fig6_7_points ~trials ctx)
 
 let fig8 ?(trials = 10) ctx =
   let nets = [ ("Submarine", (submarine ctx)); ("Intertubes", (intertubes ctx)) ] in
@@ -200,16 +203,14 @@ let fig8 ?(trials = 10) ctx =
       ~header:[ "state"; "spacing"; "network"; "cables%"; "sd"; "nodes%"; "sd" ]
       rows
 
-let fig9a ctx =
-  let summary = Stormsim.Systems.analyze_ases (ases ctx) in
+let fig9a_of summary =
   Ascii_plot.plot ~x_label:"|latitude| threshold (deg)" ~y_label:"ASes with presence (%)"
     ~title:"Figure 9a: reach of ASes above latitude thresholds"
     [ { Ascii_plot.label = "ASes"; points = summary.Stormsim.Systems.reach_curve } ]
   ^ Printf.sprintf "  ASes with presence above |40 deg|: %.1f%%\n"
       summary.Stormsim.Systems.reach_above_40_pct
 
-let fig9b ctx =
-  let summary = Stormsim.Systems.analyze_ases (ases ctx) in
+let fig9b_of summary =
   (* Subsample the CDF for plotting. *)
   let cdf = summary.Stormsim.Systems.spread_cdf in
   let n = List.length cdf in
@@ -219,6 +220,9 @@ let fig9b ctx =
     [ { Ascii_plot.label = "ASes"; points = sampled } ]
   ^ Printf.sprintf "  median spread %.3f deg; p90 %.3f deg (1 deg ~ 111 km)\n"
       summary.Stormsim.Systems.median_spread_deg summary.Stormsim.Systems.p90_spread_deg
+
+let fig9a ctx = fig9a_of (Stormsim.Systems.analyze_ases (ases ctx))
+let fig9b ctx = fig9b_of (Stormsim.Systems.analyze_ases (ases ctx))
 
 let countries ?(trials = 50) ctx =
   let findings = Stormsim.Country.run_all ~trials (submarine ctx) in
@@ -235,8 +239,7 @@ let countries ?(trials = 50) ctx =
   "Country-scale connectivity (4.3.4): probability the connectivity metric is LOST\n"
   ^ Table.render ~header:[ "case"; "state"; "cables"; "P(loss)"; "paper expectation" ] rows
 
-let systems ctx =
-  let asys = Stormsim.Systems.analyze_ases (ases ctx) in
+let systems_of asys ctx =
   let dcs = Stormsim.Systems.analyze_datacenters () in
   let dns = Stormsim.Systems.analyze_dns (dns ctx) in
   let buf = Buffer.create 512 in
@@ -263,6 +266,8 @@ let systems ctx =
        dns.Stormsim.Systems.continents dns.Stormsim.Systems.share_above_40_pct
        dns.Stormsim.Systems.resilience_score);
   Buffer.contents buf
+
+let systems ctx = systems_of (Stormsim.Systems.analyze_ases (ases ctx)) ctx
 
 let probability () =
   let open Spaceweather in
@@ -449,7 +454,7 @@ let risk_horizon () =
   Buffer.contents buf
 
 let capacity ?(trials = 5) ctx =
-  let rows model_name model =
+  let rows model_name reports =
     List.map
       (fun (r : Stormsim.Capacity.corridor_report) ->
         [ r.Stormsim.Capacity.corridor.Stormsim.Capacity.name;
@@ -459,13 +464,21 @@ let capacity ?(trials = 5) ctx =
           Printf.sprintf "%.0f" r.Stormsim.Capacity.surviving_pct;
           String.concat "/"
             (List.filteri (fun i _ -> i < 3) r.Stormsim.Capacity.min_cut_cables) ])
-      (Stormsim.Capacity.standard_report ~trials ~network:(submarine ctx) ~model ())
+      reports
+  in
+  let s1, s2 =
+    match
+      Stormsim.Capacity.standard_report ~trials ~network:(submarine ctx)
+        ~models:[ Stormsim.Failure_model.s1; Stormsim.Failure_model.s2 ] ()
+    with
+    | [ s1; s2 ] -> (s1, s2)
+    | _ -> assert false
   in
   Printf.sprintf "Corridor capacity (max-flow, Tbps); installed total %.0f Tbps\n"
     (Stormsim.Capacity.network_capacity_tbps (submarine ctx))
   ^ Table.render
       ~header:[ "corridor"; "state"; "healthy"; "expected"; "surv%"; "min-cut (top 3)" ]
-      (rows "S1" Stormsim.Failure_model.s1 @ rows "S2" Stormsim.Failure_model.s2)
+      (rows "S1" s1 @ rows "S2" s2)
 
 let interdomain () =
   let t = Interdomain.As_topology.generate ~n:1500 () in
@@ -504,7 +517,23 @@ let timed id f =
         Obs.Metrics.observe render_ns (Int64.to_float (Int64.sub (Obs.Span.now ()) t0));
         (id, text))
 
+(* A value the first figure that needs it computes and later ones reuse.
+   [all] renders on one domain, so a plain ref suffices. *)
+let once f =
+  let cell = ref None in
+  fun () ->
+    match !cell with
+    | Some v -> v
+    | None ->
+        let v = f () in
+        cell := Some v;
+        v
+
 let all ?(trials = 10) ctx =
+  (* Figures 6 and 7 plot one sweep; 9a, 9b and systems read one AS
+     summary. *)
+  let sweep = once (fun () -> fig6_7_points ~trials ctx) in
+  let asys = once (fun () -> Stormsim.Systems.analyze_ases (ases ctx)) in
   [
     timed "fig1" (fun () -> fig1 ctx);
     timed "fig2" (fun () -> fig2 ctx);
@@ -512,13 +541,13 @@ let all ?(trials = 10) ctx =
     timed "fig4a" (fun () -> fig4a ctx);
     timed "fig4b" (fun () -> fig4b ctx);
     timed "fig5" (fun () -> fig5 ctx);
-    timed "fig6" (fun () -> fig6 ~trials ctx);
-    timed "fig7" (fun () -> fig7 ~trials ctx);
+    timed "fig6" (fun () -> fig6_of (sweep ()));
+    timed "fig7" (fun () -> fig7_of (sweep ()));
     timed "fig8" (fun () -> fig8 ~trials ctx);
-    timed "fig9a" (fun () -> fig9a ctx);
-    timed "fig9b" (fun () -> fig9b ctx);
+    timed "fig9a" (fun () -> fig9a_of (asys ()));
+    timed "fig9b" (fun () -> fig9b_of (asys ()));
     timed "countries" (fun () -> countries ~trials:(Int.max 20 trials) ctx);
-    timed "systems" (fun () -> systems ctx);
+    timed "systems" (fun () -> systems_of (asys ()) ctx);
     timed "probability" (fun () -> probability ());
     timed "mitigation" (fun () -> mitigation ctx);
     timed "leo" (fun () -> leo ());

@@ -52,23 +52,31 @@ let generate ?(seed = 42) ?(n = 2000) () =
     let dlon = Geo.Angle.angular_diff home_lon.(a) home_lon.(b) in
     (dlat *. dlat) +. (dlon *. dlon)
   in
-  let nearest_of pool ~to_:i ~k ~skip =
-    let scored =
-      Array.to_list pool
-      |> List.filter (fun j -> j <> i && not (List.mem j skip))
-      |> List.map (fun j -> (dist2 i j, j))
-      |> List.sort compare
+  let by_distance (d1, j1) (d2, j2) =
+    let c = Float.compare d1 d2 in
+    if c <> 0 then c else Int.compare j1 j2
+  in
+  (* The [k] members of [pool] nearest to [i], nearest first: the head
+     of the pool sorted by [by_distance], kept as a sorted list that
+     never grows past [k]. *)
+  let nearest_of pool ~to_:i ~k =
+    let rec insert k x = function
+      | _ when k <= 0 -> []
+      | [] -> [ x ]
+      | y :: rest when by_distance x y < 0 -> x :: insert (k - 1) y rest
+      | y :: rest -> y :: insert (k - 1) x rest
     in
-    List.filteri (fun idx _ -> idx < k) scored |> List.map snd
+    Array.fold_left (fun best j -> if j = i then best else insert k (dist2 i j, j) best) [] pool
+    |> List.map snd
   in
   (* Tier-2: buy transit from 2-3 tier-1s (nearest-biased), peer with a few
      nearby tier-2s. *)
   Array.iter
     (fun i ->
       let k = 2 + Rng.int rng 2 in
-      List.iter (add_provider i) (nearest_of t1s ~to_:i ~k ~skip:[]);
+      List.iter (add_provider i) (nearest_of t1s ~to_:i ~k);
       let kp = 1 + Rng.int rng 3 in
-      List.iter (add_peer i) (nearest_of t2s ~to_:i ~k:kp ~skip:[]))
+      List.iter (add_peer i) (nearest_of t2s ~to_:i ~k:kp))
     t2s;
   (* Stubs: 1-3 providers among nearby transit ASes (tier-2 preferred). *)
   let transit = Array.append t2s t1s in
@@ -77,9 +85,7 @@ let generate ?(seed = 42) ?(n = 2000) () =
       if t = Stub then begin
         (* Most stubs are multi-homed (2-3 providers). *)
         let k = 2 + Rng.int rng 2 in
-        let near = nearest_of transit ~to_:i ~k:(k + 3) ~skip:[] in
-        let chosen = List.filteri (fun idx _ -> idx < k) near in
-        List.iter (add_provider i) chosen
+        List.iter (add_provider i) (nearest_of transit ~to_:i ~k)
       end)
     tier;
   { n; tier; home_lat; providers; customers; peers }

@@ -5,32 +5,40 @@ let all_alive (t : As_topology.t) = Array.make t.As_topology.n true
    (x, 0): provider (0), peer (1), customer (2); from (x, 1): customer (2);
    from (x, 2): customer (2). *)
 
-let phase_bfs (t : As_topology.t) ~alive ~src =
+(* States are [phase * n + x].  Each state is queued at most once, so an
+   array of [3 n] slots is the whole queue.  With [until], the search
+   stops as soon as any phase of that AS is reached. *)
+let phase_bfs ?(until = -1) (t : As_topology.t) ~alive ~src =
   let n = t.As_topology.n in
   let parent = Array.make (3 * n) (-1) in
   let seen = Array.make (3 * n) false in
-  let q = Queue.create () in
-  let idx phase x = (phase * n) + x in
+  let queue = Array.make (3 * n) 0 in
+  let head = ref 0 and tail = ref 0 in
+  let push state y phase' =
+    let s = (phase' * n) + y in
+    if alive.(y) && not seen.(s) then begin
+      seen.(s) <- true;
+      parent.(s) <- state;
+      queue.(!tail) <- s;
+      incr tail;
+      if y = until then head := 3 * n
+    end
+  in
   if alive.(src) then begin
-    seen.(idx 0 src) <- true;
-    Queue.add (src, 0) q
+    seen.(src) <- true;
+    queue.(0) <- src;
+    tail := 1
   end;
-  while not (Queue.is_empty q) do
-    let x, phase = Queue.pop q in
-    let push y phase' =
-      if alive.(y) && not seen.(idx phase' y) then begin
-        seen.(idx phase' y) <- true;
-        parent.(idx phase' y) <- idx phase x;
-        Queue.add (y, phase') q
-      end
-    in
-    (match phase with
-    | 0 ->
-        List.iter (fun p -> push p 0) t.As_topology.providers.(x);
-        List.iter (fun p -> push p 1) t.As_topology.peers.(x);
-        List.iter (fun c -> push c 2) t.As_topology.customers.(x)
-    | 1 | 2 -> List.iter (fun c -> push c 2) t.As_topology.customers.(x)
-    | _ -> ())
+  while !head < !tail do
+    let state = queue.(!head) in
+    incr head;
+    let x = state mod n in
+    if state < n then begin
+      List.iter (fun p -> push state p 0) t.As_topology.providers.(x);
+      List.iter (fun p -> push state p 1) t.As_topology.peers.(x);
+      List.iter (fun c -> push state c 2) t.As_topology.customers.(x)
+    end
+    else List.iter (fun c -> push state c 2) t.As_topology.customers.(x)
   done;
   (seen, parent)
 
@@ -43,7 +51,7 @@ let reachable t ~alive ~src ~dst =
   if not (alive.(src) && alive.(dst)) then false
   else if src = dst then true
   else
-    let seen, _ = phase_bfs t ~alive ~src in
+    let seen, _ = phase_bfs ~until:dst t ~alive ~src in
     reach_state t seen dst <> None
 
 let reachability_fraction t ~alive ~dst =

@@ -20,6 +20,7 @@ let draw_failures rng (t : As_topology.t) ~dst_nt =
       not (Rng.bernoulli rng ~p))
 
 let compare_protocols ?(seed = 29) ?(pairs = 300) ?(k = 3) t ~dst_nt =
+  if k < 1 then invalid_arg "Storm.compare_protocols: k < 1";
   let rng = Rng.create seed in
   let healthy = Bgp.all_alive t in
   let alive = draw_failures rng t ~dst_nt in
@@ -37,11 +38,11 @@ let compare_protocols ?(seed = 29) ?(pairs = 300) ?(k = 3) t ~dst_nt =
     if src <> dst && alive.(src) && alive.(dst) then begin
       (* Pre-storm state: best path and k disjoint paths on the healthy
          topology. *)
-      match Bgp.shortest_path t ~alive:healthy ~src ~dst with
-      | None -> () (* unreachable even before the storm: skip the pair *)
-      | Some best ->
+      match Bgp.disjoint_paths ~k t ~alive:healthy ~src ~dst with
+      | [] -> () (* unreachable even before the storm: skip the pair *)
+      | best :: _ as dpaths ->
+          (* The first disjoint path is the healthy shortest path. *)
           incr sampled;
-          let dpaths = Bgp.disjoint_paths ~k t ~alive:healthy ~src ~dst in
           diversity := !diversity +. float_of_int (List.length dpaths);
           if path_alive best then incr bgp_ok;
           if List.exists path_alive dpaths then incr multi_ok;

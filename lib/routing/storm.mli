@@ -36,4 +36,5 @@ val compare_protocols :
   dst_nt:float ->
   outcome
 (** Sample [pairs] (default 300) alive src/dst pairs on one failure draw
-    and measure the four metrics. *)
+    and measure the four metrics.  The BGP path is the first of the [k]
+    disjoint paths.  @raise Invalid_argument if [k < 1]. *)

@@ -24,7 +24,8 @@ val generate :
     above) over [start, stop], chronological.  [base_rate_per_year] is
     the long-run rate of ≥ [min_dst] storms before modulation (default
     from the calibrated power-law tail).
-    @raise Invalid_argument if [stop < start] or [min_dst > 0]. *)
+    @raise Invalid_argument if [stop < start] or [min_dst < 0] ([min_dst]
+    is a magnitude, positive like the 100 nT default). *)
 
 val worst : event list -> event option
 (** Deepest-Dst event of a sequence. *)

@@ -51,9 +51,35 @@ let shape_peak_value b =
   done;
   !best
 
+(* The peak depends only on the amplitude, and the model only ever asks
+   for the amplitudes of its own cycles plus the strong cycle-25
+   forecast.  Each of those gets a cell filled on first use; domains that
+   race on an empty cell compute and store the same value.  Any other
+   amplitude is searched afresh. *)
+let peak_amplitudes =
+  Array.of_list (List.map (fun c -> c.peak_ssn) (cycle_25_strong :: cycles))
+
+let peak_cells = Array.map (fun _ -> Atomic.make Float.nan) peak_amplitudes
+
+let peak_value amplitude =
+  let rec find i =
+    if i = Array.length peak_amplitudes then shape_peak_value (shape_b amplitude)
+    else if Float.equal peak_amplitudes.(i) amplitude then begin
+      let cached = Atomic.get peak_cells.(i) in
+      if Float.is_nan cached then begin
+        let v = shape_peak_value (shape_b amplitude) in
+        Atomic.set peak_cells.(i) v;
+        v
+      end
+      else cached
+    end
+    else find (i + 1)
+  in
+  find 0
+
 let shape ~amplitude ~months_since_min =
   let b = shape_b amplitude in
-  let peak = shape_peak_value b in
+  let peak = peak_value amplitude in
   if peak <= 0.0 then 0.0
   else raw_shape ~a:(amplitude /. peak) ~b months_since_min
 

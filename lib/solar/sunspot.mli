@@ -25,7 +25,10 @@ val find_cycle : int -> cycle option
 
 val shape : amplitude:float -> months_since_min:float -> float
 (** Hathaway shape function: SSN at [months_since_min] for a cycle of the
-    given amplitude.  Zero before the minimum. *)
+    given amplitude.  Zero before the minimum.  The shape is normalised
+    by a numerical search for its peak; for the amplitudes of {!cycles}
+    and {!cycle_25_strong} that search runs once per process, on first
+    use, and any domain may trigger it. *)
 
 val ssn_at : ?cycle25:cycle -> float -> float
 (** [ssn_at year] is the modeled smoothed sunspot number at a decimal year

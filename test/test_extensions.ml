@@ -395,13 +395,31 @@ let test_corridor_empty_side () =
 
 let test_standard_report_complete () =
   let net = Lazy.force submarine in
-  let rs = Capacity.standard_report ~trials:3 ~network:net ~model:Failure_model.s2 () in
+  let rs =
+    match Capacity.standard_report ~trials:3 ~network:net ~models:[ Failure_model.s2 ] () with
+    | [ rs ] -> rs
+    | _ -> Alcotest.fail "one report per model"
+  in
   Alcotest.(check int) "four corridors" 4 (List.length rs);
   List.iter
     (fun (r : Capacity.corridor_report) ->
       Alcotest.(check bool) "expected <= healthy" true
         (r.Capacity.expected_tbps <= r.Capacity.healthy_tbps +. 1e-6))
     rs
+
+let test_standard_report_matches_corridors () =
+  let net = Lazy.force submarine in
+  let models = [ Failure_model.s1; Failure_model.s2 ] in
+  List.iter2
+    (fun model reports ->
+      List.iter2
+        (fun corridor (r : Capacity.corridor_report) ->
+          Alcotest.(check bool) corridor.Capacity.name true
+            (r = Capacity.analyze_corridor ~trials:3 ~network:net ~model corridor))
+        [ Capacity.atlantic; Capacity.brazil_europe; Capacity.pacific; Capacity.asia_europe ]
+        reports)
+    models
+    (Capacity.standard_report ~trials:3 ~network:net ~models ())
 
 (* --- Shutdown decision & DNS reachability --- *)
 
@@ -494,7 +512,12 @@ let test_events_validation () =
   let rng = Rng.create 1 in
   Alcotest.check_raises "inverted"
     (Invalid_argument "Event_generator.generate: stop < start") (fun () ->
-      ignore (Spaceweather.Event_generator.generate ~rng ~start:2030.0 ~stop:2020.0 ()))
+      ignore (Spaceweather.Event_generator.generate ~rng ~start:2030.0 ~stop:2020.0 ()));
+  Alcotest.check_raises "negative min_dst"
+    (Invalid_argument "Event_generator.generate: min_dst must be positive") (fun () ->
+      ignore
+        (Spaceweather.Event_generator.generate ~min_dst:(-100.0) ~rng ~start:2020.0 ~stop:2030.0
+           ()))
 
 let test_carrington_window_probability () =
   (* Current (Gleissberg-suppressed) decade sits below the long-run 12%. *)
@@ -533,7 +556,9 @@ let () =
             test_corridor_atlantic_collapses_under_s1;
           Alcotest.test_case "brazil beats atlantic" `Quick test_corridor_brazil_beats_atlantic;
           Alcotest.test_case "empty side" `Quick test_corridor_empty_side;
-          Alcotest.test_case "standard report" `Slow test_standard_report_complete ] );
+          Alcotest.test_case "standard report" `Slow test_standard_report_complete;
+          Alcotest.test_case "standard report = per-corridor analysis" `Slow
+            test_standard_report_matches_corridors ] );
       ( "shutdown_and_dns",
         [ Alcotest.test_case "carrington decision" `Quick test_shutdown_decision_carrington;
           Alcotest.test_case "weak storm not recommended" `Quick

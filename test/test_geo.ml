@@ -451,10 +451,89 @@ let prop_histogram_preserves_weight =
       let total_out = Array.fold_left ( +. ) 0.0 h.Latband.counts in
       Float.abs (total_in -. total_out) < 1e-9)
 
+(* The hop-by-hop list walk that [Geodesic.point_at] replaces: each hop
+   length computed on the way, subtracted from what remains. *)
+let reference_point_at_km path d =
+  match path with
+  | [] -> invalid_arg "empty"
+  | [ p ] -> p
+  | first :: _ ->
+      if d <= 0.0 then first
+      else
+        let rec walk remaining = function
+          | a :: (b :: _ as rest) ->
+              let hop = Distance.haversine_km a b in
+              if remaining <= hop then
+                if hop < 1e-9 then a else Geodesic.intermediate a b (remaining /. hop)
+              else walk (remaining -. hop) rest
+          | [ last ] -> last
+          | [] -> assert false
+        in
+        walk d path
+
+(* Paths of 1-40 points whose hops mix arbitrary jumps, short steps,
+   repeated points (a zero hop) and near-antipodal jumps. *)
+let gen_walk =
+  let open QCheck.Gen in
+  let point = map2 (fun lat lon -> Coord.make ~lat ~lon) (float_range (-89.0) 89.0) (float_range (-180.0) 180.0) in
+  let next prev =
+    frequency
+      [ (3, point);
+        ( 3,
+          map2
+            (fun dlat dlon ->
+              Coord.make
+                ~lat:(Float.max (-89.0) (Float.min 89.0 (Coord.lat prev +. dlat)))
+                ~lon:(Coord.lon prev +. dlon))
+            (float_range (-3.0) 3.0) (float_range (-3.0) 3.0) );
+        (2, return prev);
+        ( 2,
+          map
+            (fun eps -> Coord.make ~lat:(-.Coord.lat prev +. eps) ~lon:(Coord.lon prev +. 180.0 -. eps))
+            (float_range (-1e-6) 1e-6) ) ]
+  in
+  let rec extend acc prev k =
+    if k = 0 then return (List.rev acc) else next prev >>= fun p -> extend (p :: acc) p (k - 1)
+  in
+  int_range 1 40 >>= fun n ->
+  point >>= fun first ->
+  extend [ first ] first (n - 1) >>= fun path ->
+  let total = Distance.path_length_km path in
+  let rec hops = function
+    | a :: (b :: _ as rest) -> Distance.haversine_km a b :: hops rest
+    | [ _ ] | [] -> []
+  in
+  let vertex =
+    (* the summed chainage of some vertex: a boundary of the walk *)
+    int_range 0 (List.length path - 1) >|= fun k ->
+    List.fold_left ( +. ) 0.0 (List.filteri (fun i _ -> i < k) (hops path))
+  in
+  frequency
+    [ (1, float_range (-5000.0) (-1e-9)); (1, return 0.0); (1, return (-0.0));
+      (4, float_range 0.0 (Float.max 1e-9 total)); (1, return total); (2, vertex);
+      (1, map (fun x -> total +. x) (float_range 1e-9 5000.0)); (1, return infinity) ]
+  >|= fun d -> (path, d)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_compiled_walk_bit_equal =
+  QCheck.Test.make ~name:"compiled walk equals the list walk bit for bit" ~count:1000
+    (QCheck.make gen_walk ~print:(fun (path, d) ->
+         Printf.sprintf "d=%h path=[%s]" d
+           (String.concat "; "
+              (List.map (fun c -> Printf.sprintf "%h,%h" (Coord.lat c) (Coord.lon c)) path))))
+    (fun (path, d) ->
+      let got = Geodesic.point_at (Geodesic.compile path) d
+      and want = reference_point_at_km path d in
+      same_bits (Coord.lat got) (Coord.lat want)
+      && same_bits (Coord.lon got) (Coord.lon want)
+      && same_bits (Geodesic.length (Geodesic.compile path)) (Distance.path_length_km path))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_normalize_lon_in_range; prop_haversine_bounds; prop_haversine_triangle;
-      prop_intermediate_on_segment; prop_tier_total; prop_histogram_preserves_weight ]
+      prop_intermediate_on_segment; prop_tier_total; prop_histogram_preserves_weight;
+      prop_compiled_walk_bit_equal ]
 
 let () =
   Alcotest.run "geo"

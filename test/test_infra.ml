@@ -251,6 +251,25 @@ let test_network_exposures_indexed () =
     (fun i e -> Alcotest.(check int) "indexed by cable id" i e.Infra.Exposure.cable_id)
     exposures
 
+(* Digest of every submarine cable's peak GIC, each printed as [%h]:
+   recorded before the GIC integration precomputed its hop lengths and
+   impedances, which must leave every float unchanged. *)
+let test_submarine_exposure_goldens () =
+  let net = Datasets.Cache.submarine () in
+  List.iter
+    (fun (dst, expected) ->
+      let storm = Gic.Disturbance.storm_of_dst dst in
+      let b = Buffer.create 8192 in
+      Array.iter
+        (fun (e : Infra.Exposure.t) ->
+          Buffer.add_string b (Printf.sprintf "%h;" e.Infra.Exposure.peak_gic_a))
+        (Infra.Exposure.network_exposures ~storm net);
+      Alcotest.(check string)
+        (Printf.sprintf "peak GIC digest at Dst %.0f" dst)
+        expected
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    [ (-1200.0, "cda38ee7d7546e3685f4a1dd0138da38"); (-589.0, "2ec9412d3840460487c531feaec66594") ]
+
 (* --- QCheck --- *)
 
 let prop_repeater_count_monotone_in_length =
@@ -324,6 +343,8 @@ let () =
           Alcotest.test_case "failure probability" `Quick
             test_exposure_failure_probability_properties;
           Alcotest.test_case "storm monotone" `Quick test_exposure_storm_monotone;
-          Alcotest.test_case "indexed exposures" `Quick test_network_exposures_indexed ] );
+          Alcotest.test_case "indexed exposures" `Quick test_network_exposures_indexed;
+          Alcotest.test_case "submarine peak GIC goldens" `Quick
+            test_submarine_exposure_goldens ] );
       ("properties", qcheck_tests);
     ]

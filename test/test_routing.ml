@@ -209,6 +209,40 @@ let test_compare_protocols_storm_ordering () =
     (strong.Storm.bgp_continuity_pct <= weak.Storm.bgp_continuity_pct);
   Alcotest.(check bool) "mild storm barely hurts" true (weak.Storm.bgp_continuity_pct > 85.0)
 
+(* Goldens recorded as [%h] before the topology generator and the
+   protocol comparison were sped up: both must stay bit-identical. *)
+let test_generated_adjacency_golden () =
+  let t = Lazy.force generated in
+  let b = Buffer.create 16384 in
+  let add l =
+    List.iter (fun x -> Buffer.add_string b (string_of_int x ^ ",")) l;
+    Buffer.add_char b ';'
+  in
+  Array.iter add t.As_topology.providers;
+  Array.iter add t.As_topology.customers;
+  Array.iter add t.As_topology.peers;
+  Alcotest.(check string) "adjacency digest" "1fd358b39fd822a43cf2358a0947ce16"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_compare_protocols_goldens () =
+  let t = Lazy.force generated in
+  List.iter
+    (fun (dst, expected) ->
+      let o = Storm.compare_protocols ~pairs:100 t ~dst_nt:dst in
+      Alcotest.(check string)
+        (Printf.sprintf "outcome at Dst %.0f" dst)
+        expected
+        (Printf.sprintf "%h %h %h %h %h" o.Storm.ases_down_pct o.Storm.reachability_pct
+           o.Storm.bgp_continuity_pct o.Storm.multipath_continuity_pct
+           o.Storm.mean_disjoint_paths))
+    [ (-300.0, "0x1p-1 0x1.9p+6 0x1.8p+6 0x1.9p+6 0x1.1333333333333p+1");
+      (-600.0, "0x1.3555555555555p+2 0x1.9p+6 0x1.8p+6 0x1.9p+6 0x1.1333333333333p+1");
+      (-1200.0, "0x1.9aaaaaaaaaaabp+3 0x1.9p+6 0x1.44p+6 0x1.9p+6 0x1.10a3d70a3d70ap+1") ]
+
+let test_compare_protocols_needs_a_path () =
+  Alcotest.check_raises "k = 0" (Invalid_argument "Storm.compare_protocols: k < 1") (fun () ->
+      ignore (Storm.compare_protocols ~k:0 tiny ~dst_nt:(-600.0)))
+
 (* --- QCheck --- *)
 
 let prop_paths_are_simple =
@@ -257,6 +291,10 @@ let () =
         [ Alcotest.test_case "tier probabilities" `Quick test_tier_probabilities_ordering;
           Alcotest.test_case "latitude bias" `Quick test_draw_failures_latitude_bias;
           Alcotest.test_case "protocol invariants" `Quick test_compare_protocols_invariants;
-          Alcotest.test_case "storm ordering" `Quick test_compare_protocols_storm_ordering ] );
+          Alcotest.test_case "storm ordering" `Quick test_compare_protocols_storm_ordering;
+          Alcotest.test_case "k validation" `Quick test_compare_protocols_needs_a_path ] );
+      ( "goldens",
+        [ Alcotest.test_case "adjacency" `Quick test_generated_adjacency_golden;
+          Alcotest.test_case "protocol outcomes" `Quick test_compare_protocols_goldens ] );
       ("properties", qcheck_tests);
     ]

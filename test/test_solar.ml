@@ -288,6 +288,65 @@ let test_catalog_2012_missed () =
   | Some e -> Alcotest.(check bool) "missed earth" false e.Storm_catalog.hit_earth
   | None -> Alcotest.fail "2012 event missing"
 
+(* --- Bit-exact goldens ---
+
+   Values recorded as [%h] before the sunspot peak search moved into a
+   per-process table: the table must leave every float unchanged. *)
+
+let check_bits msg expected got =
+  Alcotest.(check string) msg expected (Printf.sprintf "%h" got)
+
+let ssn_goldens =
+  [ ("1958", "0x1.1abcec3f3f471p+8", fun () -> Sunspot.ssn_at 1958.0);
+    ("2014", "0x1.9f3de645814a8p+6", fun () -> Sunspot.ssn_at 2014.0);
+    ("2019.9", "0x1.30a2b695f8d12p+0", fun () -> Sunspot.ssn_at 2019.9);
+    ("2031", "0x1.0d998230301ecp+0", fun () -> Sunspot.ssn_at 2031.0);
+    ( "2025 weak",
+      "0x1.9acf8a57c841ap+6",
+      fun () -> Sunspot.ssn_at ~cycle25:Sunspot.cycle_25_weak 2025.0 );
+    ( "2025 strong",
+      "0x1.61af7cdcf86f8p+7",
+      fun () -> Sunspot.ssn_at ~cycle25:Sunspot.cycle_25_strong 2025.0 ) ]
+
+let test_ssn_goldens () =
+  List.iter (fun (name, expected, f) -> check_bits ("ssn_at " ^ name) expected (f ())) ssn_goldens
+
+let test_expected_events_golden () =
+  check_bits "expected events 2021-2050" "0x1.e49037cf14af9p-2"
+    (Probability.expected_events ~base_rate_per_year:(1.0 /. 31.5) ~start:2021.0 ~stop:2050.0)
+
+let test_carrington_window_goldens () =
+  List.iter
+    (fun (start, expected) ->
+      check_bits
+        (Printf.sprintf "carrington %.0f-%.0f" start (start +. 10.0))
+        expected
+        (Event_generator.carrington_in_window ~trials:300 ~seed:77 ~start ~stop:(start +. 10.0)
+           ()))
+    [ (2021.0, "0x1.0369d0369d037p-4"); (2031.0, "0x1.999999999999ap-5");
+      (2041.0, "0x1.d0369d0369d03p-5"); (2051.0, "0x1.7e4b17e4b17e5p-5") ]
+
+(* Four domains released together onto the peak table, which is still
+   empty when this runs first in the suite: each must read the golden
+   values. *)
+let test_peak_table_domains () =
+  let ready = Atomic.make 0 in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < 4 do
+              Domain.cpu_relax ()
+            done;
+            List.map (fun (_, _, f) -> Printf.sprintf "%h" (f ())) (List.rev ssn_goldens)))
+  in
+  List.iter
+    (fun d ->
+      List.iter2
+        (fun (name, expected, _) got -> Alcotest.(check string) ("domain ssn_at " ^ name) expected got)
+        (List.rev ssn_goldens) (Domain.join d))
+    domains
+
 (* --- QCheck --- *)
 
 let prop_severity_total =
@@ -319,6 +378,8 @@ let qcheck_tests =
 let () =
   Alcotest.run "spaceweather"
     [
+      (* Stays first: it must meet the peak table empty. *)
+      ("peak table", [ Alcotest.test_case "empty, four domains" `Quick test_peak_table_domains ]);
       ( "dst",
         [ Alcotest.test_case "classes" `Quick test_severity_classes;
           Alcotest.test_case "boundaries" `Quick test_severity_boundaries;
@@ -370,5 +431,9 @@ let () =
           Alcotest.test_case "find" `Quick test_catalog_find;
           Alcotest.test_case "strongest" `Quick test_catalog_strongest;
           Alcotest.test_case "2012 near miss" `Quick test_catalog_2012_missed ] );
+      ( "goldens",
+        [ Alcotest.test_case "ssn_at" `Quick test_ssn_goldens;
+          Alcotest.test_case "expected events" `Quick test_expected_events_golden;
+          Alcotest.test_case "carrington windows" `Quick test_carrington_window_goldens ] );
       ("properties", qcheck_tests);
     ]
